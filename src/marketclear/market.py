@@ -7,6 +7,29 @@ The market's convex potential is
 whose gradient is the excess supply sum_k y_k(p) - sum_j count_j x_j(p)
 and whose minimizers over p >= 0 are exactly the prices that clear the
 market on average.
+
+`Market.value_and_grad` returns TER and z together from one pass over a
+flat layout that the market builds once, at construction:
+
+- Consumers. Every (consumer type, nest) pair is one contiguous segment
+  of a flat array of J * n elements; each element holds one good of one
+  type. The layout keeps the good of each element (a gather from the
+  price vector), its utility and the 1/mu of its nest, the segment
+  starts and each segment's mu. One `np.maximum.reduceat` and one
+  `np.add.reduceat` give every nest's log-sum-exp, hence its inclusive
+  value; a second pair over the segments of each type gives the
+  surplus per type. The choice probabilities reuse the same
+  exponentials, and a precomputed inverse gather sums them per good.
+- Suppliers. Their data are stacked into (K, n) arrays, so the best
+  responses of all suppliers are one clip and their profits one sum.
+
+`Market.ter` and `Market.ter_gradient` run the same kernel and compute
+only their own half. Prices are processed with the goods on the first
+axis and evaluation points on the second; a block of prices is
+evaluated in chunks of `_CHUNK_ROWS` rows, which bounds the flat and
+stacked temporaries alive at once. The public per-type functions of
+`nested_logit` keep their own per-nest code and serve as the
+independent oracle this kernel is tested against.
 """
 
 from __future__ import annotations
@@ -15,9 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import supply
-from .nested_logit import NestStructure, StructureError, choice_probabilities, surplus
+from .nested_logit import NestStructure, StructureError
 from .supply import Supplier, check_prices
+
+# Rows of a price block evaluated per kernel pass. The pass keeps
+# several (J*n, rows) and (K, n, rows) temporaries alive together, and
+# 256 rows keeps them cache-sized: a whole 4096-row block at once was
+# 38% slower on the 20 acceptance-batch markets and raised peak memory,
+# while 512 or 1024 rows were within 7% of 256.
+_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -99,10 +128,19 @@ class Market:
         for k, s in enumerate(self.suppliers):
             if s.n != self.n:
                 raise StructureError(f"supplier {k} has dimension {s.n}, market has {self.n}")
+        object.__setattr__(self, "_flat", _FlatMarket(self))
 
     @property
     def total_population(self) -> float:
         return sum(ct.count for ct in self.consumers)
+
+    def value_and_grad(self, p) -> tuple[float | np.ndarray, np.ndarray]:
+        """TER(p) and the excess supply z(p) from one kernel pass.
+
+        Batched over leading axes like `ter` and `ter_gradient`, and
+        equal to the pair of them.
+        """
+        return self._evaluate(p, value=True, grad=True)
 
     def ter(self, p) -> float | np.ndarray:
         """Total expected revenue at prices p (batched over leading axes).
@@ -110,19 +148,30 @@ class Market:
         Defined for all finite p: the potential extends smoothly off the
         nonnegative orthant, which the accelerated scheme relies on.
         """
-        p = check_prices(p, self.n, nonnegative=False)
-        out = sum(supply._profit_raw(s, p) for s in self.suppliers)
-        out += sum(ct.count * surplus(ct.nests, ct.a - p) for ct in self.consumers)
-        return float(out) if np.ndim(out) == 0 else out
+        return self._evaluate(p, value=True, grad=False)[0]
 
     def ter_gradient(self, p) -> np.ndarray:
         """Excess supply z(p) = sum_k y_k(p) - sum_j count_j x_j(p)."""
+        return self._evaluate(p, value=False, grad=True)[1]
+
+    def _evaluate(self, p, value: bool, grad: bool):
         p = check_prices(p, self.n, nonnegative=False)
-        z = sum(supply._best_response_raw(s, p) for s in self.suppliers)
-        z = z - sum(
-            ct.count * choice_probabilities(ct.nests, ct.a - p) for ct in self.consumers
-        )
-        return z
+        if p.ndim == 1:
+            ter, z = self._flat.kernel(p[:, None], value, grad)
+            return (float(ter[0]) if value else None), (z[:, 0] if grad else None)
+        rows = p.reshape(-1, self.n)
+        ter = np.empty(len(rows)) if value else None
+        z = np.empty(rows.shape) if grad else None
+        for r0 in range(0, len(rows), _CHUNK_ROWS):
+            r1 = r0 + _CHUNK_ROWS
+            # a contiguous copy: broadcasting over a transposed view is slower
+            t, g = self._flat.kernel(np.ascontiguousarray(rows[r0:r1].T), value, grad)
+            if value:
+                ter[r0:r1] = t
+            if grad:
+                z[r0:r1] = g.T
+        return (ter.reshape(p.shape[:-1]) if value else None,
+                z.reshape(p.shape) if grad else None)
 
     def smoothness_constant(self) -> float:
         """Gradient Lipschitz bound sum_j count_j / min_l mu_jl + sum_k 1 / gamma_k."""
@@ -166,3 +215,85 @@ class Market:
             complementarity=float(np.dot(p, z)),
             grad_norm=float(np.linalg.norm(natural)),
         )
+
+
+class _FlatMarket:
+    """The market laid out for the fused oracle (see the module docstring).
+
+    Element arrays have one row per (type, good) element, segment arrays
+    one row per (type, nest) segment, supplier arrays shape (K, n, 1);
+    the trailing axis broadcasts over evaluation points.
+    """
+
+    def __init__(self, market: Market):
+        n = market.n
+        goods, seg_len, seg_mu = [], [], []
+        type_start, type_of = [], []
+        for j, ct in enumerate(market.consumers):
+            type_start.append(len(seg_len))
+            for nest, mu in zip(ct.nests.nests, ct.nests.mu):
+                goods.extend(nest)
+                seg_len.append(len(nest))
+                seg_mu.append(mu)
+                type_of.append(j)
+        self.goods = np.array(goods, dtype=np.intp)
+        seg_len = np.array(seg_len, dtype=np.intp)
+        seg_mu = np.array(seg_mu)
+        self.n_types = len(market.consumers)
+        self.seg_start = np.concatenate(([0], np.cumsum(seg_len)[:-1]))
+        self.seg_of = np.repeat(np.arange(len(seg_len)), seg_len)
+        self.seg_mu = seg_mu[:, None]
+        self.inv_mu = (1.0 / seg_mu)[self.seg_of, None]
+        owner = np.repeat(np.arange(self.n_types), n)  # type of each element
+        self.a = np.array([market.consumers[j].a[i] for j, i in zip(owner, self.goods)])[:, None]
+        self.type_start = np.array(type_start, dtype=np.intp)
+        self.type_of = np.array(type_of, dtype=np.intp)
+        self.count = np.array([ct.count for ct in market.consumers])
+        self.seg_count = self.count[self.type_of, None]
+        # element of (type j, good i) at position j * n + i
+        self.inverse = np.argsort(owner * n + self.goods, kind="stable")
+
+        def stack(values):
+            return np.array(values, dtype=float)[:, :, None]
+
+        sup = market.suppliers
+        self.offset = stack([2.0 * s.gamma * s.y_nat - s.c for s in sup])
+        self.inv_slope = stack([1.0 / (s.d + 2.0 * s.gamma) for s in sup])
+        self.lo = stack([s.lo for s in sup])
+        self.hi = stack([s.hi for s in sup])
+        self.c = stack([s.c for s in sup])
+        self.half_d = stack([0.5 * s.d for s in sup])
+        self.y_nat = stack([s.y_nat for s in sup])
+        self.gamma = np.array([s.gamma for s in sup])[:, None, None]
+
+    def kernel(self, x: np.ndarray, value: bool, grad: bool):
+        """TER (shape (R,)) and z (shape (n, R)) at the R columns of x,
+        each computed only if asked for; x has shape (n, R)."""
+        y = (x + self.offset) * self.inv_slope  # supplier stationary points
+        np.maximum(y, self.lo, out=y)
+        np.minimum(y, self.hi, out=y)
+
+        w = x.take(self.goods, axis=0)
+        np.subtract(self.a, w, out=w)
+        w *= self.inv_mu  # v / mu, element by element
+        top = np.maximum.reduceat(w, self.seg_start)
+        w -= top.take(self.seg_of, axis=0)
+        np.exp(w, out=w)
+        within = np.add.reduceat(w, self.seg_start)
+        iv = self.seg_mu * (top + np.log(within))  # inclusive values
+        top_iv = np.maximum.reduceat(iv, self.type_start)
+        nest = np.exp(iv - top_iv.take(self.type_of, axis=0))
+        total = np.add.reduceat(nest, self.type_start)
+
+        ter = z = None
+        if value:
+            profit = y * ((x - self.c) - self.half_d * y) - self.gamma * np.square(y - self.y_nat)
+            ter = profit.sum(axis=(0, 1)) + self.count @ (top_iv + np.log(total))
+        if grad:
+            # count_j * P(nest) / (within-nest sum) turns w = exp(v/mu - top)
+            # into the demand of each element
+            w *= (nest * (self.seg_count / (total.take(self.type_of, axis=0) * within))
+                  ).take(self.seg_of, axis=0)
+            demand = w.take(self.inverse, axis=0).reshape(self.n_types, -1, x.shape[1])
+            z = y.sum(axis=0) - demand.sum(axis=0)
+        return ter, z

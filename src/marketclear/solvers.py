@@ -52,8 +52,8 @@ class UnproductiveMarketError(RuntimeError):
 class DivergedError(RuntimeError):
     """Non-finite values encountered during iteration."""
 
-    def __init__(self, iteration: int):
-        super().__init__(f"non-finite iterate at iteration {iteration}")
+    def __init__(self, iteration: int, what: str = "iterate"):
+        super().__init__(f"non-finite {what} at iteration {iteration}")
         self.iteration = iteration
 
 
@@ -147,18 +147,20 @@ def resolve_step(market: Market, step: float | None) -> float:
 class _Recorder:
     """Accumulates per-iteration rows and the divergence check."""
 
-    def __init__(self, market: Market, h: float):
-        self.market = market
+    def __init__(self, h: float):
         self.h = h
         self.rows: list[tuple[float, float, float, float]] = []
 
-    def record(self, p: np.ndarray, z: np.ndarray) -> float:
+    def record(self, p: np.ndarray, z: np.ndarray, value: float) -> float:
+        """Append the row of iterate p, with z = z(p) and value = TER(p),
+        and return its clearing residual."""
         t = len(self.rows) + 1
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(z))):
+        if not (np.isfinite(p).all() and np.isfinite(z).all()):
             raise DivergedError(t)
-        value = self.market.ter(p)
+        if not math.isfinite(value):
+            raise DivergedError(t, "potential value (TER)")
         natural = p - np.maximum(p - z, 0.0)
-        residual = float(np.linalg.norm(natural))
+        residual = math.sqrt(np.dot(natural, natural))
         self.rows.append((value, residual, float(z.min()), float(np.dot(p, z))))
         return residual
 
@@ -183,7 +185,8 @@ def solve(market: Market, config: SolverConfig | None = None) -> Trace:
 
     Refuses to run when the productivity check fails, since the
     potential may then be unbounded below. Raises DivergedError if
-    iterates become non-finite.
+    iterates or the potential value become non-finite, so a run never
+    reports convergence at a non-finite TER.
     """
     config = config or SolverConfig()
     if not market.productivity_check():
@@ -195,7 +198,7 @@ def solve(market: Market, config: SolverConfig | None = None) -> Trace:
     p = np.zeros(market.n) if config.p0 is None else config.p0.astype(float).copy()
     if p.shape != (market.n,):
         raise ConfigError(f"initial prices have shape {p.shape}, expected ({market.n},)")
-    rec = _Recorder(market, h)
+    rec = _Recorder(h)
     log.info("solve scheme=%s h=%g tol=%g max_iters=%d", config.scheme, h,
              config.tol, config.max_iters)
 
@@ -204,8 +207,8 @@ def solve(market: Market, config: SolverConfig | None = None) -> Trace:
         z = market.ter_gradient(p)
         for _ in range(config.max_iters):
             p = np.maximum(p - h * z, 0.0)
-            z = market.ter_gradient(p)
-            if rec.record(p, z) <= config.tol:
+            value, z = market.value_and_grad(p)
+            if rec.record(p, z, value) <= config.tol:
                 converged = True
                 break
     else:
@@ -219,8 +222,8 @@ def solve(market: Market, config: SolverConfig | None = None) -> Trace:
             q = p + ((gamma - 1.0) / gamma_n) * (p - p_prev)
             gamma = gamma_n
             p_prev = p
-            z = market.ter_gradient(p)
-            if rec.record(p, z) <= config.tol:
+            value, z = market.value_and_grad(p)
+            if rec.record(p, z, value) <= config.tol:
                 converged = True
                 break
 

@@ -69,7 +69,7 @@ def check_prices(p, n: int, nonnegative: bool = True) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim == 0 or p.shape[-1] != n:
         raise StructureError(f"price vector must have last dimension {n}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise DomainError("prices must be finite")
     if nonnegative and np.any(p < 0):
         raise DomainError("prices must be nonnegative")

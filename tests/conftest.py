@@ -22,17 +22,6 @@ def random_instance(seed, max_n=12, max_nests=4, v_bound=5.0):
     return ns, v
 
 
-def fd_gradient(f, x, step=1e-5):
-    """Central finite differences of a batch-capable scalar function."""
-    x = np.asarray(x, dtype=float)
-    shifts = np.zeros((2 * x.size,) + x.shape)
-    for i in range(x.size):
-        shifts[2 * i, i] = step
-        shifts[2 * i + 1, i] = -step
-    vals = f(x + shifts)
-    return (vals[0::2] - vals[1::2]) / (2.0 * step)
-
-
 @pytest.fixture(scope="session")
 def single_good_market():
     """n=1 market with closed-form equilibrium p* = c + 2*gamma*(count - y_nat) = 3."""

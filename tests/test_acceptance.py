@@ -19,8 +19,9 @@ from marketclear.sampling import (
     monte_carlo_choice_frequencies,
 )
 from marketclear.solvers import SolverConfig, fit_rate, reference_solve, solve
+from marketclear.verify import fd_gradient
 
-from conftest import PYTHON, SPEC_DIR, fd_gradient, random_instance
+from conftest import PYTHON, SPEC_DIR, random_instance
 
 GUMBEL_VAR = np.pi**2 / 6.0
 N_INSTANCES = 1000

@@ -87,6 +87,17 @@ class TestSolve:
         assert r.returncode == 1
         assert "mu out of range" in r.stderr
 
+    def test_non_finite_ter_is_not_converged(self, tmp_path):
+        doc = json.loads((SPEC_DIR / "market_n6.json").read_text(encoding="utf-8"))
+        doc["suppliers"][0]["y_nat"][0] = float("inf")
+        bad = tmp_path / "inf_y_nat.json"
+        bad.write_text(json.dumps(doc))  # writes the JSON extension Infinity
+        r = run_cli("solve", "--market", str(bad))
+        assert r.returncode == 1
+        assert "non-finite potential value (TER) at iteration 1" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert "converged" not in r.stdout
+
     def test_p0_file(self, tmp_path):
         p0 = tmp_path / "p0.json"
         p0.write_text("[2.9]")

@@ -4,9 +4,9 @@ import pytest
 
 import marketclear as mc
 from marketclear import specio
+from marketclear.market import _CHUNK_ROWS
 from marketclear.solvers import SolverConfig, reference_solve, solve
-
-from conftest import fd_gradient
+from marketclear.verify import fd_gradient
 
 
 def mp_market_value(market, p, dps=50):
@@ -201,3 +201,113 @@ class TestSublevelBoundedness:
             assert vals[-1] > vals.min()
             assert np.argmin(vals) < len(ts) - 1
             assert vals[-1] > six_good_market.ter(np.zeros(6))
+
+
+ORACLE_RTOL = 1e-12
+
+
+def public_formula(market, p):
+    """TER and z summed from the per-supplier and per-type public functions.
+
+    `profit` and `best_response` take only p >= 0, and both depend on p
+    only through p - c, so they are evaluated on a copy of each supplier
+    with costs c + t at prices p + t, where t >= 0 lifts every price to
+    nonnegative. The consumer side takes any finite p.
+    """
+    p = np.asarray(p, dtype=float)
+    t = max(0.0, -float(p.min()))
+    ter, z = 0.0, 0.0
+    for s in market.suppliers:
+        lifted = mc.Supplier(y_nat=s.y_nat, gamma=s.gamma, lo=s.lo, hi=s.hi, c=s.c + t, d=s.d)
+        ter = ter + mc.profit(lifted, p + t)
+        z = z + mc.best_response(lifted, p + t)
+    for ct in market.consumers:
+        ter = ter + ct.count * mc.surplus(ct.nests, ct.a - p)
+        z = z - ct.count * mc.choice_probabilities(ct.nests, ct.a - p)
+    return ter, z
+
+
+def assert_close(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    assert np.max(np.abs(actual - expected)) <= ORACLE_RTOL * scale
+
+
+def _oracle_markets():
+    ns_singletons = mc.NestStructure(4, ((0,), (1,), (2,), (3,)), (0.3, 0.6, 1.0, 0.05))
+    ns_mixed = mc.NestStructure(4, ((0, 2), (1,), (3,)), (0.4, 0.7, 1.0))
+    one_one = mc.Market(
+        n=4,
+        consumers=(mc.ConsumerType(count=6.0, a=[1.0, -0.5, 0.2, 2.0], nests=ns_mixed),),
+        suppliers=(mc.Supplier(y_nat=[0.5, 0.0, 1.0, 0.2], gamma=1.5, lo=[0.0, 0.1, 0.0, 0.0],
+                               hi=[4.0, 3.0, 5.0, 2.0], c=[0.5, 1.0, 0.2, 0.8],
+                               d=[0.0, 0.3, 0.0, 1.0]),),
+    )
+    singletons = mc.Market(
+        n=4,
+        consumers=(
+            mc.ConsumerType(count=3.0, a=[0.5, 0.0, -1.0, 1.5], nests=ns_singletons),
+            mc.ConsumerType(count=2.0, a=[0.0, 1.0, 0.5, -0.5], nests=ns_mixed),
+        ),
+        suppliers=one_one.suppliers * 2,
+    )
+    return {
+        "batch-like": specio.market_from_document(specio.generate_market(9, 3, 4, seed=17)),
+        "J=1,K=1": one_one,
+        "singleton-nests": singletons,
+    }
+
+
+ORACLE_MARKETS = _oracle_markets()
+
+
+def _oracle_points(n):
+    rng = np.random.default_rng(n)
+    block = rng.uniform(0.0, 5.0, (2 * _CHUNK_ROWS + 37, n))  # not a multiple of the chunk
+    negative = rng.uniform(-3.0, 4.0, (40, n))
+    negative[::2, 0] = -2.5
+    return {
+        "point": rng.uniform(0.0, 5.0, n),
+        "negative point": rng.uniform(-2.0, 1.0, n),
+        "block": block,
+        "batch": rng.uniform(0.0, 5.0, (2, 3, n)),
+        "negative rows": negative,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MARKETS))
+class TestFusedOracle:
+    def test_value_and_grad_equals_views(self, name):
+        m = ORACLE_MARKETS[name]
+        for p in _oracle_points(m.n).values():
+            ter, z = m.value_and_grad(p)
+            assert_close(ter, m.ter(p))
+            assert_close(z, m.ter_gradient(p))
+            assert np.ndim(ter) == np.ndim(p) - 1 and z.shape == np.shape(p)
+
+    def test_matches_public_formula(self, name):
+        m = ORACLE_MARKETS[name]
+        for p in _oracle_points(m.n).values():
+            ter_ref, z_ref = public_formula(m, p)
+            ter, z = m.value_and_grad(p)
+            assert_close(ter, ter_ref)
+            assert_close(z, z_ref)
+            assert_close(m.ter(p), ter_ref)
+            assert_close(m.ter_gradient(p), z_ref)
+
+    def test_block_rows_match_single_points(self, name):
+        m = ORACLE_MARKETS[name]
+        block = _oracle_points(m.n)["block"]
+        ter, z = m.value_and_grad(block)
+        for r in (0, _CHUNK_ROWS - 1, _CHUNK_ROWS, len(block) - 1):
+            ter_r, z_r = m.value_and_grad(block[r])
+            assert isinstance(ter_r, float)
+            assert_close(ter[r], ter_r)
+            assert_close(z[r], z_r)
+
+
+@pytest.mark.parametrize("scheme", ["basic", "accelerated"])
+def test_trace_ter_is_the_potential_at_the_price(six_good_market, scheme):
+    trace = solve(six_good_market, SolverConfig(scheme=scheme))
+    assert_close(trace.ter[-1], six_good_market.ter(trace.price))

@@ -15,8 +15,9 @@ from marketclear import (
     smoothness_moduli,
     surplus,
 )
+from marketclear.verify import fd_gradient
 
-from conftest import fd_gradient, random_instance
+from conftest import random_instance
 
 # 50-digit direct evaluations of the defining formulas, frozen.
 SURPLUS_TWO_NEST = 1.5918821974050197946903764  # nests {1,2},{3,4}, mu=(.5,1), v=(1,0,.5,-1)

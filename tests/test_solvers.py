@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from marketclear.solvers import (
     solve,
     step_basic,
 )
+
+from conftest import SPEC_DIR
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -134,11 +138,26 @@ class TestSolve:
     def test_divergence_guard_names_iteration(self, single_good_market):
         from marketclear.solvers import DivergedError, _Recorder
 
-        rec = _Recorder(single_good_market, 0.1)
-        rec.record(np.array([1.0]), np.array([0.5]))
+        rec = _Recorder(0.1)
+        p = np.array([1.0])
+        rec.record(p, np.array([0.5]), single_good_market.ter(p))
         with pytest.raises(DivergedError, match="iteration 2") as err:
-            rec.record(np.array([np.inf]), np.array([0.0]))
+            rec.record(np.array([np.inf]), np.array([0.0]), 0.0)
         assert err.value.iteration == 2
+
+    def test_divergence_guard_rejects_non_finite_ter(self):
+        # an infinite natural supply level makes the adjustment penalty,
+        # hence TER, -inf while prices and excess supply stay finite
+        from marketclear.solvers import DivergedError
+
+        doc = json.loads((SPEC_DIR / "market_n6.json").read_text(encoding="utf-8"))
+        doc["suppliers"][0]["y_nat"][0] = float("inf")
+        m = specio.market_from_document(doc)
+        assert np.all(np.isfinite(m.ter_gradient(np.zeros(m.n))))
+        for scheme in ("basic", "accelerated"):
+            with pytest.raises(DivergedError, match="TER.*iteration 1") as err:
+                solve(m, SolverConfig(scheme=scheme))
+            assert err.value.iteration == 1
 
 
 class TestConvergenceBounds:

@@ -3,8 +3,7 @@ import pytest
 
 from marketclear import DomainError, StructureError, Supplier, best_response, profit
 from marketclear.supply import total_cost
-
-from conftest import fd_gradient
+from marketclear.verify import fd_gradient
 
 
 def golden_section_max(f, lo, hi, tol=1e-12):
