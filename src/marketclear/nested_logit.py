@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 # Smallest admissible scale parameter: below this, exp(v/mu) is
 # numerically meaningless even in log space.
@@ -143,6 +142,12 @@ def _inclusive_values(ns: NestStructure, v: np.ndarray) -> np.ndarray:
     return iv
 
 
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x ln x elementwise for x >= 0, with the limit 0 ln 0 = 0."""
+    pos = x > 0
+    return np.where(pos, x * np.log(np.where(pos, x, 1.0)), 0.0)
+
+
 def surplus(ns: NestStructure, v) -> float | np.ndarray:
     """Expected maximum utility E(v); shape (...,) for v of shape (..., n)."""
     v = _as_utilities(ns, v)
@@ -189,10 +194,10 @@ def conjugate(ns: NestStructure, q) -> float | np.ndarray:
     out = np.zeros(q.shape[:-1])
     for idx, mu in zip(ns._idx, ns.mu):
         qn = q[..., idx]
-        out += mu * xlogy(qn, qn).sum(axis=-1)
+        out += mu * _xlogx(qn).sum(axis=-1)
         if mu < 1.0:
             qtot = qn.sum(axis=-1)
-            out += (1.0 - mu) * xlogy(qtot, qtot)
+            out += (1.0 - mu) * _xlogx(qtot)
     return float(out) if out.ndim == 0 else out
 
 

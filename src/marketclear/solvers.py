@@ -15,6 +15,24 @@ The extrapolated points q_t may leave the orthant; the potential and
 its gradient extend smoothly to all of R^n, so they are evaluated there
 without projection. Only p_{t+1} is projected. No restarts: restarts
 would contaminate rate diagnostics.
+
+The audits of these schemes need the optimum TER* from a solver that
+runs neither of them. `reference_solve` is a damped projected
+Newton method (Bertsekas 1982) on the box p >= 0. Each iteration takes
+the Hessian of the potential by central differences of the analytic
+excess supply (one batched oracle call on 2n shifted rows), splits the
+goods into an epsilon-active set {p_i <= min(1e-3, r), z_i > 0} and a
+free set, where r is the natural-map residual, and moves along
+
+    p(a) = [p + a d]_+,   d_free = -(H_free + lam I)^{-1} z_free,
+                          d_active = -z_active / (diag H + lam)_active,
+
+with the Levenberg term lam = min(r, 1e-2): the consumer Hessian is
+singular along the all-ones direction, and so is the free-set Hessian
+of a single consumer type whose suppliers are clipped. The step a
+halves from 1 until Armijo's condition holds along the projection arc,
+or until the residual at least halves; the second rule keeps the
+search moving once the potential's decrease falls below rounding.
 """
 
 from __future__ import annotations
@@ -32,11 +50,16 @@ log = logging.getLogger("marketclear.solvers")
 DEFAULT_MAX_ITERS = 100_000
 DEFAULT_TOL = 1e-8
 
-# Reference solves run the accelerated scheme to this residual with a
-# 10x iteration budget; the result serves as the optimum for bound and
-# rate audits.
+# Reference solves run projected Newton to this residual within this
+# many Newton iterations; the result serves as the optimum for bound
+# and rate audits.
 REFERENCE_TOL = 1e-12
-REFERENCE_MAX_ITERS = 10 * DEFAULT_MAX_ITERS
+REFERENCE_MAX_ITERS = 100
+_HESSIAN_STEP = 1e-6  # central-difference step of the reference Hessian
+_ACTIVE_EPS = 1e-3  # upper cap of the epsilon-active set threshold
+_LEVENBERG_MAX = 1e-2  # upper cap of the Levenberg term
+_ARMIJO_SIGMA = 1e-4
+_MAX_HALVINGS = 60
 
 SCHEMES = ("basic", "accelerated")
 
@@ -86,10 +109,7 @@ class SolverConfig:
         if self.tol < 0:
             raise ConfigError(f"tolerance must be >= 0, got {self.tol}")
         if self.p0 is not None:
-            p0 = np.asarray(self.p0, dtype=float)
-            if np.any(p0 < 0) or not np.all(np.isfinite(p0)):
-                raise ConfigError("initial prices must be finite and nonnegative")
-            self.p0 = p0
+            self.p0 = _checked_p0(self.p0)
 
 
 @dataclass
@@ -130,6 +150,34 @@ def gamma_next(gamma_t: float) -> float:
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * gamma_t * gamma_t))
 
 
+def _natural_residual(p: np.ndarray, z: np.ndarray) -> float:
+    """Clearing residual ||p - [p - z]_+||_2 of prices p with excess supply z."""
+    natural = p - np.maximum(p - z, 0.0)
+    return math.sqrt(np.dot(natural, natural))
+
+
+def _require_productive(market: Market) -> None:
+    if not market.productivity_check():
+        raise UnproductiveMarketError(
+            "productivity check failed: feasible supply cannot strictly exceed "
+            "total expected demand"
+        )
+
+
+def _checked_p0(p0) -> np.ndarray:
+    p0 = np.asarray(p0, dtype=float)
+    if np.any(p0 < 0) or not np.all(np.isfinite(p0)):
+        raise ConfigError("initial prices must be finite and nonnegative")
+    return p0
+
+
+def _initial_prices(market: Market, p0: np.ndarray | None) -> np.ndarray:
+    p = np.zeros(market.n) if p0 is None else _checked_p0(p0).copy()
+    if p.shape != (market.n,):
+        raise ConfigError(f"initial prices have shape {p.shape}, expected ({market.n},)")
+    return p
+
+
 def resolve_step(market: Market, step: float | None) -> float:
     """Auto-select h = 1/Lip, or validate a user step against that cap."""
     lip = market.smoothness_constant()
@@ -149,23 +197,25 @@ class _Recorder:
 
     def __init__(self, h: float):
         self.h = h
-        self.rows: list[tuple[float, float, float, float]] = []
+        self.rows: list[tuple[float, float, float, float, float]] = []
 
-    def record(self, p: np.ndarray, z: np.ndarray, value: float) -> float:
-        """Append the row of iterate p, with z = z(p) and value = TER(p),
-        and return its clearing residual."""
+    def record(self, p: np.ndarray, z: np.ndarray, value: float,
+               step: float | None = None) -> float:
+        """Append the row of iterate p, with z = z(p), value = TER(p) and
+        the step that reached it (default h), and return its clearing
+        residual."""
         t = len(self.rows) + 1
         if not (np.isfinite(p).all() and np.isfinite(z).all()):
             raise DivergedError(t)
         if not math.isfinite(value):
             raise DivergedError(t, "potential value (TER)")
-        natural = p - np.maximum(p - z, 0.0)
-        residual = math.sqrt(np.dot(natural, natural))
-        self.rows.append((value, residual, float(z.min()), float(np.dot(p, z))))
+        residual = _natural_residual(p, z)
+        self.rows.append((value, residual, float(z.min()), float(np.dot(p, z)),
+                          self.h if step is None else step))
         return residual
 
     def finish(self, scheme: str, price: np.ndarray, converged: bool) -> Trace:
-        cols = np.array(self.rows).reshape(len(self.rows), 4)
+        cols = np.array(self.rows).reshape(len(self.rows), 5)
         return Trace(
             scheme=scheme,
             step=self.h,
@@ -173,7 +223,7 @@ class _Recorder:
             grad_norm=cols[:, 1].copy(),
             min_excess=cols[:, 2].copy(),
             complementarity=cols[:, 3].copy(),
-            steps=np.full(len(self.rows), self.h),
+            steps=cols[:, 4].copy(),
             price=price.copy(),
             converged=converged,
         )
@@ -189,15 +239,9 @@ def solve(market: Market, config: SolverConfig | None = None) -> Trace:
     reports convergence at a non-finite TER.
     """
     config = config or SolverConfig()
-    if not market.productivity_check():
-        raise UnproductiveMarketError(
-            "productivity check failed: feasible supply cannot strictly exceed "
-            "total expected demand"
-        )
+    _require_productive(market)
     h = resolve_step(market, config.step)
-    p = np.zeros(market.n) if config.p0 is None else config.p0.astype(float).copy()
-    if p.shape != (market.n,):
-        raise ConfigError(f"initial prices have shape {p.shape}, expected ({market.n},)")
+    p = _initial_prices(market, config.p0)
     rec = _Recorder(h)
     log.info("solve scheme=%s h=%g tol=%g max_iters=%d", config.scheme, h,
              config.tol, config.max_iters)
@@ -233,17 +277,62 @@ def solve(market: Market, config: SolverConfig | None = None) -> Trace:
     return trace
 
 
+def _fd_hessian(market: Market, p: np.ndarray) -> np.ndarray:
+    """Symmetrised central-difference Jacobian of z, from one batched call."""
+    shift = _HESSIAN_STEP * np.eye(len(p))
+    z = market.ter_gradient(np.concatenate((p + shift, p - shift)))
+    jac = (z[: len(p)] - z[len(p):]) / (2.0 * _HESSIAN_STEP)
+    return 0.5 * (jac + jac.T)
+
+
 def reference_solve(market: Market, p0: np.ndarray | None = None) -> Trace:
-    """High-accuracy accelerated solve used as the optimum for audits."""
-    return solve(
-        market,
-        SolverConfig(
-            scheme="accelerated",
-            tol=REFERENCE_TOL,
-            max_iters=REFERENCE_MAX_ITERS,
-            p0=p0,
-        ),
-    )
+    """High-accuracy optimum for the audits, by damped projected Newton.
+
+    Runs no pricing scheme (see the module docstring). Row t of the
+    trace is Newton iterate t and `steps` holds its accepted step
+    length; when no step is taken (the start meets REFERENCE_TOL, or no
+    step is acceptable) the start is recorded as one row with step 0.
+    `converged` is true only at a residual <= REFERENCE_TOL.
+    """
+    _require_productive(market)
+    p = _initial_prices(market, p0)
+    rec = _Recorder(1.0)
+    value, z = market.value_and_grad(p)
+    r = _natural_residual(p, z)
+    evals, hessians = 1, 0
+    while r > REFERENCE_TOL and len(rec.rows) < REFERENCE_MAX_ITERS:
+        hess = _fd_hessian(market, p)
+        hessians += 1
+        lam = min(r, _LEVENBERG_MAX)
+        active = (p <= min(_ACTIVE_EPS, r)) & (z > 0)
+        free = ~active
+        d = np.empty_like(p)
+        d[free] = -np.linalg.solve(
+            hess[np.ix_(free, free)] + lam * np.eye(int(free.sum())), z[free])
+        d[active] = -z[active] / (np.maximum(np.diag(hess)[active], 0.0) + lam)
+        descent = -np.dot(z[free], d[free])
+        alpha = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = np.maximum(p + alpha * d, 0.0)
+            t_value, t_z = market.value_and_grad(trial)
+            evals += 1
+            t_r = _natural_residual(trial, t_z)
+            armijo = _ARMIJO_SIGMA * (
+                alpha * descent + np.dot(z[active], p[active] - trial[active]))
+            if value - t_value >= armijo or t_r <= 0.5 * r:
+                break
+            alpha *= 0.5
+        else:
+            break  # no acceptable step along the arc
+        p, value, z, r = trial, t_value, t_z, t_r
+        rec.record(p, z, value, step=alpha)
+    if not rec.rows:  # the start met the tolerance, or its first search failed
+        rec.record(p, z, value, step=0.0)
+    converged = r <= REFERENCE_TOL
+    log.info("reference done: newton_iters=%d oracle_evals=%d hessian_rows=%d "
+             "residual=%.3e converged=%s", len(rec.rows), evals,
+             2 * market.n * hessians, r, converged)
+    return rec.finish("reference", p, converged)
 
 
 def qualifying_window(ter_values: np.ndarray, ter_star: float) -> np.ndarray:

@@ -3,8 +3,8 @@
 Each suite runs on a concrete market and returns measured values with
 the bound they must satisfy. Oracles are independent of the code paths
 they check: central finite differences for gradients, Monte Carlo for
-choice probabilities and correlations, and a high-accuracy reference
-solve for the convergence bounds.
+choice probabilities and correlations, and a projected Newton reference
+solve, which runs neither pricing scheme, for the convergence bounds.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .nested_logit import (
     smoothness_moduli,
     surplus,
 )
-from .solvers import SolverConfig, reference_solve, solve
+from .solvers import REFERENCE_TOL, SolverConfig, reference_solve, solve
 
 log = logging.getLogger("marketclear.verify")
 
@@ -229,9 +229,14 @@ def suite_correlation(market: Market, samples: int, seed: int) -> list[CheckResu
 
 
 def suite_bounds(market: Market, samples: int, seed: int) -> list[CheckResult]:
-    """Solver convergence bounds against a high-accuracy reference solve."""
-    results = []
+    """Solver convergence bounds against a high-accuracy reference solve.
+
+    The reference is checked first: a reference solve that stopped short
+    of REFERENCE_TOL fails here instead of silently moving TER*.
+    """
     ref = reference_solve(market)
+    results = [_check("bounds", "reference residual",
+                      market.equilibrium_residual(ref.price).grad_norm, REFERENCE_TOL)]
     ter_star = market.ter(ref.price)
     dist2 = float(np.dot(ref.price, ref.price))  # runs start from p0 = 0
     for scheme in ("basic", "accelerated"):

@@ -174,3 +174,13 @@ class TestLogging:
         r = run_cli("solve", "--market", SINGLE_GOOD, env=env)
         assert r.returncode == 0
         assert "solve" in r.stderr
+
+
+def test_import_does_not_load_scipy():
+    # scipy costs about a third of a second and 20 MB at import; the
+    # package, its CLI and its verification suites must not need it
+    code = ("import sys, marketclear, marketclear.cli, marketclear.verify; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    r = subprocess.run([PYTHON, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

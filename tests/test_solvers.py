@@ -1,11 +1,17 @@
+import dataclasses
 import json
+import logging
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import marketclear as mc
-from marketclear import specio
+from marketclear import solvers, specio
 from marketclear.solvers import (
+    REFERENCE_MAX_ITERS,
+    REFERENCE_TOL,
     ConfigError,
     RateFitError,
     SolverConfig,
@@ -211,3 +217,96 @@ class TestRateFit:
         accel = solve(m, SolverConfig(scheme="accelerated"))
         assert fit_rate(basic, ter_star) <= -0.85
         assert fit_rate(accel, ter_star) <= -1.75
+
+
+def batch_market(slot):
+    """Market of the acceptance batch (tests/test_acceptance.py) at slot."""
+    srng = np.random.default_rng(1000 + slot)
+    n, j, k = (int(srng.integers(lo, hi)) for lo, hi in ((6, 21), (1, 6), (1, 6)))
+    return specio.market_from_document(specio.generate_market(n, j, k, seed=slot))
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("reference_solve must not run a pricing scheme")
+
+
+class TestReferenceSolve:
+    def test_independent_of_pricing_schemes(self, monkeypatch, six_good_market):
+        monkeypatch.setattr(solvers, "solve", _raise)
+        monkeypatch.setattr(solvers, "step_basic", _raise)
+        monkeypatch.setattr(solvers, "gamma_next", _raise)
+        ref = reference_solve(six_good_market)
+        assert ref.converged
+        assert ref.grad_norm[-1] <= REFERENCE_TOL
+
+    def test_trace_rows_are_newton_iterations(self, six_good_market, caplog):
+        with caplog.at_level(logging.INFO, logger="marketclear.solvers"):
+            ref = reference_solve(six_good_market)
+        assert ref.scheme == "reference"
+        assert 1 <= ref.iterations <= REFERENCE_MAX_ITERS
+        assert np.all((ref.steps > 0) & (ref.steps <= 1))
+        np.testing.assert_array_equal(ref.price, np.maximum(ref.price, 0))
+        assert ref.grad_norm[-1] == pytest.approx(
+            six_good_market.equilibrium_residual(ref.price).grad_norm, abs=1e-15)
+        done = [r.getMessage() for r in caplog.records if "reference done" in r.getMessage()]
+        assert len(done) == 1
+        assert f"newton_iters={ref.iterations} " in done[0]
+        assert "oracle_evals=" in done[0] and "residual=" in done[0]
+
+    def test_start_at_the_optimum_records_one_row(self, six_good_market):
+        ref = reference_solve(six_good_market)
+        again = reference_solve(six_good_market, p0=ref.price)
+        assert again.converged
+        assert again.iterations == 1
+        assert again.steps[0] == 0.0
+        np.testing.assert_array_equal(again.price, ref.price)
+
+    def test_rejects_bad_start(self, six_good_market):
+        with pytest.raises(ConfigError, match="shape"):
+            reference_solve(six_good_market, p0=np.zeros(3))
+        with pytest.raises(ConfigError, match="nonnegative"):
+            reference_solve(six_good_market, p0=-np.ones(6))
+
+    def test_singular_hessian_at_start(self):
+        # one consumer type, and at p = 0 every supplier is clipped at its
+        # lower bound: the potential's Hessian there is singular
+        m = batch_market(9)
+        assert len(m.consumers) == 1
+        assert np.linalg.eigvalsh(solvers._fd_hessian(m, np.zeros(m.n)))[0] < 1e-8
+        ref = reference_solve(m)
+        assert ref.converged
+
+    def test_good_priced_at_zero(self):
+        # a supplier obliged to produce more of good 0 than the whole
+        # population could buy leaves excess supply there at every price,
+        # so the optimum sits on the boundary p_0 = 0
+        m = small_market(11, n=4)
+        s = m.suppliers[0]
+        lo = s.lo.copy()
+        lo[0] = 1.5 * m.total_population
+        hi = np.maximum(s.hi, lo)
+        m = mc.Market(n=m.n, consumers=m.consumers,
+                      suppliers=(dataclasses.replace(s, lo=lo, hi=hi),) + m.suppliers[1:])
+        ref = reference_solve(m)
+        assert ref.converged
+        assert ref.price[0] == 0.0
+        assert m.ter_gradient(ref.price)[0] > 0
+        assert np.all(ref.price[1:] > 0)
+
+    def test_single_good_closed_form(self):
+        m = specio.load_market(SPEC_DIR / "single_good.json")
+        ref = reference_solve(m)
+        assert ref.converged
+        assert abs(ref.price[0] - 3.0) <= 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 10), j=st.integers(1, 3), k=st.integers(1, 3),
+           seed=st.integers(0, 10_000))
+    def test_no_worse_than_the_accelerated_scheme(self, n, j, k, seed):
+        m = specio.market_from_document(specio.generate_market(n, j, k, seed=seed))
+        ref = reference_solve(m)
+        assert ref.converged
+        assert ref.min_excess[-1] >= -1e-9
+        ter_ref = m.ter(ref.price)
+        ter_accel = m.ter(solve(m, SolverConfig(scheme="accelerated")).price)
+        assert ter_ref <= ter_accel + 1e-12 * max(1.0, abs(ter_accel))
