@@ -62,22 +62,19 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _load_p0(path: str, n: int) -> np.ndarray:
+def _load_p0(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as f:
         raw = json.load(f)
     try:
-        p0 = np.asarray(raw, dtype=float)
+        return np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"initial prices must be a numeric array: {exc}") from exc
-    if p0.shape != (n,):
-        raise ConfigError(f"initial prices must be a length-{n} array")
-    return p0
 
 
 def _cmd_solve(args) -> int:
     try:
         market = specio.load_market(args.market)
-        p0 = _load_p0(args.p0, market.n) if args.p0 else None
+        p0 = _load_p0(args.p0) if args.p0 else None
         config = SolverConfig(
             scheme=args.scheme,
             step=args.step,

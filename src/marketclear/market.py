@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nested_logit import NestStructure, StructureError
-from .supply import Supplier, check_prices
+from .nested_logit import CODE_MALFORMED, NestStructure, check_array, require, require_finite
+from .supply import Supplier
 
 # Rows of a price block evaluated per kernel pass. The pass keeps
 # several (J*n, rows) and (K, n, rows) temporaries alive together, and
@@ -54,8 +54,8 @@ class ConsumerType:
     """A population of identical consumers.
 
     Attributes:
-        count: population size, > 0.
-        a: observable utilities of the n goods.
+        count: population size, finite and > 0.
+        a: observable utilities of the n goods, finite.
         nests: nest structure of the random utility errors.
     """
 
@@ -66,14 +66,11 @@ class ConsumerType:
     def __post_init__(self) -> None:
         object.__setattr__(self, "count", float(self.count))
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        if self.count <= 0:
-            raise StructureError(f"population count must be positive, got {self.count}")
-        if self.a.shape != (self.nests.n,):
-            raise StructureError(
-                f"utilities have shape {self.a.shape}, expected ({self.nests.n},)"
-            )
-        if not np.all(np.isfinite(self.a)):
-            raise StructureError("observable utilities must be finite")
+        require(self.a.shape == (self.nests.n,), CODE_MALFORMED, "a",
+                f"utilities have shape {self.a.shape}, expected ({self.nests.n},)")
+        require_finite(count=self.count, a=self.a)
+        require(self.count > 0, CODE_MALFORMED, "count",
+                f"population count must be positive, got {self.count}")
 
 
 @dataclass(frozen=True)
@@ -119,15 +116,13 @@ class Market:
     def __post_init__(self) -> None:
         object.__setattr__(self, "consumers", tuple(self.consumers))
         object.__setattr__(self, "suppliers", tuple(self.suppliers))
-        if not self.consumers or not self.suppliers:
-            raise StructureError("market needs at least one consumer type and one supplier")
-        for j, ct in enumerate(self.consumers):
-            if ct.nests.n != self.n:
-                raise StructureError(f"consumer type {j} has dimension {ct.nests.n}, "
-                                     f"market has {self.n}")
-        for k, s in enumerate(self.suppliers):
-            if s.n != self.n:
-                raise StructureError(f"supplier {k} has dimension {s.n}, market has {self.n}")
+        for name in ("consumers", "suppliers"):
+            require(len(getattr(self, name)) > 0, CODE_MALFORMED, name,
+                    "market needs at least one consumer type and one supplier")
+        require([ct.nests.n == self.n for ct in self.consumers], CODE_MALFORMED, "consumers",
+                f"consumer type dimension differs from the market's {self.n}")
+        require([s.n == self.n for s in self.suppliers], CODE_MALFORMED, "suppliers",
+                f"supplier dimension differs from the market's {self.n}")
         object.__setattr__(self, "_flat", _FlatMarket(self))
 
     @property
@@ -155,7 +150,7 @@ class Market:
         return self._evaluate(p, value=False, grad=True)[1]
 
     def _evaluate(self, p, value: bool, grad: bool):
-        p = check_prices(p, self.n, nonnegative=False)
+        p = check_array(p, self.n, "prices")
         if p.ndim == 1:
             ter, z = self._flat.kernel(p[:, None], value, grad)
             return (float(ter[0]) if value else None), (z[:, 0] if grad else None)
@@ -207,7 +202,7 @@ class Market:
 
     def equilibrium_residual(self, p) -> EquilibriumResidual:
         """Clearing residuals of Definition-style equilibrium conditions at p."""
-        p = check_prices(p, self.n)
+        p = check_array(p, self.n, "prices", nonnegative=True)
         z = self.ter_gradient(p)
         natural = p - np.maximum(p - z, 0.0)
         return EquilibriumResidual(

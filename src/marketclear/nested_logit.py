@@ -31,12 +31,62 @@ MU_MIN = 1e-6
 SIMPLEX_ATOL = 1e-8
 
 
+# Codes of the market-data rules, shared by StructureError and spec files.
+CODE_MALFORMED = "malformed"
+CODE_PARTITION = "partition"
+CODE_MU_RANGE = "mu-range"
+CODE_GAMMA = "gamma"
+CODE_BOUNDS = "bounds"
+CODE_NON_FINITE = "non-finite"
+
+
 class StructureError(ValueError):
-    """Nest structure or dimension invariants violated."""
+    """Market data, nest structure or dimension invariants violated.
+
+    `code` names the rule and `field` the offending attribute, indexed
+    from 0 where it is an array (`y_nat[3]`, `mu[1]`, `nests[0]`).
+    Messages count alternatives and nests from 1, as spec files do.
+    """
+
+    def __init__(self, message: str, code: str = CODE_MALFORMED, field: str = ""):
+        super().__init__(f"{field}: {message}" if field else message)
+        self.message = message
+        self.code = code
+        self.field = field
 
 
 class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
+
+
+def require(ok, code: str, field: str, message: str) -> None:
+    """Raise StructureError(message, code, field) unless `ok` holds.
+
+    For an array `ok` the field is indexed at its first False entry.
+    """
+    ok = np.asarray(ok)
+    if not ok.all():
+        raise StructureError(
+            message, code, f"{field}[{np.flatnonzero(~ok)[0]}]" if ok.ndim else field
+        )
+
+
+def require_finite(**fields) -> None:
+    """Raise a non-finite StructureError at the first NaN or infinite entry."""
+    for name, value in fields.items():
+        require(np.isfinite(value), CODE_NON_FINITE, name, "must be finite")
+
+
+def check_array(x, n: int, what: str, nonnegative: bool = False) -> np.ndarray:
+    """x as floats with last dimension n, all finite, and >= 0 if asked."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != n:
+        raise StructureError(f"{what} must have last dimension {n}")
+    if not np.isfinite(x).all():
+        raise DomainError(f"{what} must be finite")
+    if nonnegative and np.any(x < 0):
+        raise DomainError(f"{what} must be nonnegative")
+    return x
 
 
 @dataclass(frozen=True)
@@ -58,30 +108,27 @@ class NestStructure:
             self, "nests", tuple(tuple(sorted(int(i) for i in nest)) for nest in self.nests)
         )
         object.__setattr__(self, "mu", tuple(float(m) for m in self.mu))
-        if self.n < 1:
-            raise StructureError(f"need at least one alternative, got n={self.n}")
-        if len(self.nests) != len(self.mu):
-            raise StructureError(
-                f"{len(self.nests)} nests but {len(self.mu)} scale parameters"
-            )
-        if not self.nests:
-            raise StructureError("empty nest list")
-        seen: set[int] = set()
-        for nest in self.nests:
-            if not nest:
-                raise StructureError("empty nest")
+        require(self.n >= 1, CODE_MALFORMED, "n", f"need at least one alternative, got {self.n}")
+        require(len(self.nests) == len(self.mu), CODE_MALFORMED, "mu",
+                f"{len(self.nests)} nests but {len(self.mu)} scale parameters")
+        require(len(self.nests) > 0, CODE_MALFORMED, "nests", "empty nest list")
+        require_finite(mu=self.mu)
+        seen: dict[int, int] = {}  # alternative -> its nest
+        for l, nest in enumerate(self.nests):
+            require(len(nest) > 0, CODE_MALFORMED, f"nests[{l}]", "empty nest")
             for i in nest:
                 if not 0 <= i < self.n:
-                    raise StructureError(f"alternative index {i} outside range(0, {self.n})")
+                    raise StructureError(f"index {i + 1} outside 1..{self.n}",
+                                         CODE_PARTITION, f"nests[{l}]")
                 if i in seen:
-                    raise StructureError(f"nests not disjoint: index {i} repeated")
-                seen.add(i)
-        if len(seen) != self.n:
-            missing = sorted(set(range(self.n)) - seen)
-            raise StructureError(f"nests do not cover all alternatives; missing {missing}")
-        for m in self.mu:
-            if not (MU_MIN < m <= 1.0):
-                raise StructureError(f"mu out of range ({MU_MIN}, 1]: {m}")
+                    raise StructureError(f"nests not disjoint: index {i + 1} already in "
+                                         f"nest {seen[i] + 1}", CODE_PARTITION, f"nests[{l}]")
+                seen[i] = l
+        missing = [i + 1 for i in range(self.n) if i not in seen]
+        require(not missing, CODE_PARTITION, "nests",
+                f"nests do not cover all alternatives; missing {missing}")
+        for l, m in enumerate(self.mu):
+            require(MU_MIN < m <= 1.0, CODE_MU_RANGE, f"mu[{l}]", f"mu out of range (0,1]: {m}")
 
         # index arrays cached for the hot evaluation paths
         object.__setattr__(
@@ -118,15 +165,6 @@ class SmoothnessModuli:
     gnl_bound: float
 
 
-def _as_utilities(ns: NestStructure, v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 0 or v.shape[-1] != ns.n:
-        raise StructureError(f"utility vector must have last dimension {ns.n}")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("utilities must be finite")
-    return v
-
-
 def _logsumexp(x: np.ndarray) -> np.ndarray:
     # stable log-sum-exp along the last axis; inputs are always finite
     # here, so the max subtraction never produces nan
@@ -150,7 +188,7 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
 
 def surplus(ns: NestStructure, v) -> float | np.ndarray:
     """Expected maximum utility E(v); shape (...,) for v of shape (..., n)."""
-    v = _as_utilities(ns, v)
+    v = check_array(v, ns.n, "utilities")
     out = _logsumexp(_inclusive_values(ns, v))
     return float(out) if out.ndim == 0 else out
 
@@ -162,7 +200,7 @@ def choice_probabilities(ns: NestStructure, v) -> np.ndarray:
     product of the nest probability (softmax of inclusive values) and
     the within-nest probability (softmax of v / mu inside the nest).
     """
-    v = _as_utilities(ns, v)
+    v = check_array(v, ns.n, "utilities")
     iv = _inclusive_values(ns, v)
     log_denom = _logsumexp(iv)
     q = np.empty_like(v)
@@ -180,9 +218,7 @@ def conjugate(ns: NestStructure, q) -> float | np.ndarray:
     Entries with q_i = 0 contribute zero through the limit x ln x -> 0;
     no clamping is applied.
     """
-    q = np.asarray(q, dtype=float)
-    if q.ndim == 0 or q.shape[-1] != ns.n:
-        raise StructureError(f"probability vector must have last dimension {ns.n}")
+    q = check_array(q, ns.n, "probabilities")
     if np.any(q < -1e-12):
         raise DomainError("probabilities must be nonnegative")
     q = np.maximum(q, 0.0)
@@ -203,7 +239,7 @@ def conjugate(ns: NestStructure, q) -> float | np.ndarray:
 
 def fenchel_gap(ns: NestStructure, v) -> float | np.ndarray:
     """|E(v) + E*(grad E(v)) - <grad E(v), v>|; zero in exact arithmetic."""
-    v = _as_utilities(ns, v)
+    v = check_array(v, ns.n, "utilities")
     q = choice_probabilities(ns, v)
     gap = surplus(ns, v) + conjugate(ns, q) - (q * v).sum(axis=-1)
     return abs(float(gap)) if np.ndim(gap) == 0 else np.abs(gap)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nested_logit import DomainError, NestStructure, choice_probabilities
+from .nested_logit import DomainError, NestStructure, check_array, choice_probabilities
 
 # Batch size for streaming sample generation. Pinned: changing it
 # changes the deterministic sample streams.
@@ -81,55 +81,49 @@ def sample_nested_errors(ns: NestStructure, rng: np.random.Generator, size: int 
     return eps[0] if size is None else eps
 
 
+def _batches(ns: NestStructure, samples: int, seed: int):
+    """Exact joint draws from one seeded stream, in blocks of BATCH_SIZE rows."""
+    rng = np.random.default_rng(seed)
+    for done in range(0, samples, BATCH_SIZE):
+        yield sample_nested_errors(ns, rng, size=min(BATCH_SIZE, samples - done))
+
+
 def monte_carlo_choice_frequencies(ns: NestStructure, v, samples: int, seed: int) -> np.ndarray:
     """Empirical frequency of argmax_i (v_i + eps_i) over exact joint draws."""
     if samples < 1:
         raise DomainError(f"need at least one sample, got {samples}")
-    v = np.asarray(v, dtype=float)
-    if v.shape != (ns.n,):
-        raise DomainError(f"utility vector must have shape ({ns.n},)")
-    rng = np.random.default_rng(seed)
-    counts = np.zeros(ns.n, dtype=np.int64)
-    done = 0
-    while done < samples:
-        b = min(BATCH_SIZE, samples - done)
-        eps = sample_nested_errors(ns, rng, size=b)
-        counts += np.bincount(np.argmax(v + eps, axis=1), minlength=ns.n)
-        done += b
+    v = check_array(v, ns.n, "utilities")
+    if v.ndim != 1:
+        raise DomainError(f"utilities must have shape ({ns.n},)")
+    counts = sum(np.bincount(np.argmax(v + eps, axis=1), minlength=ns.n)
+                 for eps in _batches(ns, samples, seed))
     return counts / samples
-
-
-def _error_moments(ns: NestStructure, samples: int, seed: int):
-    """Streaming first and second moments of the error vector."""
-    rng = np.random.default_rng(seed)
-    s1 = np.zeros(ns.n)
-    s2 = np.zeros((ns.n, ns.n))
-    done = 0
-    while done < samples:
-        b = min(BATCH_SIZE, samples - done)
-        eps = sample_nested_errors(ns, rng, size=b)
-        s1 += eps.sum(axis=0)
-        s2 += eps.T @ eps
-        done += b
-    mean = s1 / samples
-    cov = s2 / samples - np.outer(mean, mean)
-    return mean, cov
 
 
 def empirical_error_covariance(ns: NestStructure, samples: int, seed: int) -> np.ndarray:
     """Sample covariance matrix of the error vector over exact draws."""
     if samples < 2:
         raise DomainError(f"need at least two samples, got {samples}")
-    _, cov = _error_moments(ns, samples, seed)
-    return cov
+    s1 = np.zeros(ns.n)
+    s2 = np.zeros((ns.n, ns.n))
+    for eps in _batches(ns, samples, seed):
+        s1 += eps.sum(axis=0)
+        s2 += eps.T @ eps
+    mean = s1 / samples
+    return s2 / samples - np.outer(mean, mean)
 
-def empirical_error_correlation(ns: NestStructure, samples: int, seed: int) -> np.ndarray:
-    """Sample Pearson correlation matrix of the error vector."""
-    cov = empirical_error_covariance(ns, samples, seed)
+
+def correlation_from_covariance(cov: np.ndarray) -> np.ndarray:
+    """Pearson correlation matrix of a covariance matrix, unit diagonal."""
     sd = np.sqrt(np.diag(cov))
     corr = cov / np.outer(sd, sd)
     np.fill_diagonal(corr, 1.0)
     return corr
+
+
+def empirical_error_correlation(ns: NestStructure, samples: int, seed: int) -> np.ndarray:
+    """Sample Pearson correlation matrix of the error vector."""
+    return correlation_from_covariance(empirical_error_covariance(ns, samples, seed))
 
 
 def monte_carlo_max_error(ns: NestStructure, v, samples: int, seed: int) -> float:

@@ -10,9 +10,11 @@ A market spec is a JSON document
                     "base_cost": {"kind": "linear", "c": [...]}}]}
 
 with 1-based alternative indices in `members` (converted to 0-based
-internally). Documents are serialized canonically (sorted keys, 2-space
-indent, full-precision floats) so that generate -> write -> parse ->
-write is byte-identical.
+internally). The reader checks only the document's shape; the market
+constructors check the values, and their errors are reported here at
+the field's document path. Documents are serialized canonically
+(sorted keys, 2-space indent, full-precision floats) so that
+generate -> write -> parse -> write is byte-identical.
 
 Trace files are CSV with header iter,ter,grad_norm,min_excess,
 complementarity,step, one row per iteration at >= 15 significant
@@ -28,15 +30,22 @@ from typing import Any
 import numpy as np
 
 from .market import ConsumerType, Market
-from .nested_logit import MU_MIN, NestStructure, StructureError
+from .nested_logit import (  # the CODE_* names are re-exported
+    CODE_BOUNDS,
+    CODE_GAMMA,
+    CODE_MALFORMED,
+    CODE_MU_RANGE,
+    CODE_NON_FINITE,
+    CODE_PARTITION,
+    NestStructure,
+    StructureError,
+)
 from .supply import Supplier
 
-# Distinct error codes for spec-file diagnostics.
-CODE_MALFORMED = "malformed"
-CODE_PARTITION = "partition"
-CODE_MU_RANGE = "mu-range"
-CODE_GAMMA = "gamma"
-CODE_BOUNDS = "bounds"
+# Document names of the constructor fields that are named differently;
+# "{}" takes the field's index, if any.
+_DOC_FIELDS = {"a": "utilities{}", "lo": "capacity.lo{}", "hi": "capacity.hi{}",
+               "c": "base_cost.c{}", "d": "base_cost.d{}", "mu": "nests{}.mu"}
 
 
 class SpecError(ValueError):
@@ -53,6 +62,16 @@ def _require(cond: bool, code: str, path: str, message: str) -> None:
         raise SpecError(code, path, message)
 
 
+def _build(cls, path: str, **fields):
+    """cls(**fields), its StructureError re-raised as a SpecError at its field's path."""
+    try:
+        return cls(**fields)
+    except StructureError as exc:
+        name, bracket, index = exc.field.partition("[")
+        field = _DOC_FIELDS.get(name, name + "{}").format(bracket + index)
+        raise SpecError(exc.code, f"{path}.{field}" if field else path, exc.message) from exc
+
+
 def _number(doc: Any, path: str) -> float:
     _require(isinstance(doc, (int, float)) and not isinstance(doc, bool),
              CODE_MALFORMED, path, f"expected a number, got {type(doc).__name__}")
@@ -60,8 +79,7 @@ def _number(doc: Any, path: str) -> float:
 
 
 def _vector(doc: Any, n: int, path: str) -> np.ndarray:
-    _require(isinstance(doc, list), CODE_MALFORMED, path, "expected an array")
-    _require(len(doc) == n, CODE_MALFORMED, path,
+    _require(len(_array(doc, path)) == n, CODE_MALFORMED, path,
              f"expected {n} entries, got {len(doc)}")
     return np.array([_number(x, f"{path}[{i}]") for i, x in enumerate(doc)])
 
@@ -76,76 +94,44 @@ def _key(doc: dict, name: str, path: str) -> Any:
     return doc[name]
 
 
-def _parse_nests(doc: Any, n: int, path: str) -> NestStructure:
-    _require(isinstance(doc, list) and doc, CODE_MALFORMED, path,
-             "expected a nonempty array of nests")
-    members: list[tuple[int, ...]] = []
-    mus: list[float] = []
-    seen: dict[int, int] = {}
-    for l, nest_doc in enumerate(doc):
-        npath = f"{path}[{l}]"
-        nest_doc = _mapping(nest_doc, npath)
-        raw = _key(nest_doc, "members", npath)
-        _require(isinstance(raw, list) and raw, CODE_MALFORMED, f"{npath}.members",
-                 "expected a nonempty array of 1-based indices")
-        idx = []
-        for i, x in enumerate(raw):
-            _require(isinstance(x, int) and not isinstance(x, bool), CODE_MALFORMED,
-                     f"{npath}.members[{i}]", "expected an integer index")
-            _require(1 <= x <= n, CODE_PARTITION, f"{npath}.members[{i}]",
-                     f"index {x} outside 1..{n}")
-            _require(x not in seen, CODE_PARTITION, f"{npath}.members[{i}]",
-                     f"nests not disjoint: index {x} already in nest {seen[x] + 1}"
-                     if x in seen else "")
-            seen[x] = l
-            idx.append(x - 1)
-        mu = _number(_key(nest_doc, "mu", npath), f"{npath}.mu")
-        _require(MU_MIN < mu <= 1.0, CODE_MU_RANGE, f"{npath}.mu",
-                 f"mu out of range (0,1]: {mu}")
-        members.append(tuple(idx))
-        mus.append(mu)
-    missing = sorted(set(range(1, n + 1)) - set(seen))
-    _require(not missing, CODE_PARTITION, path,
-             f"nests do not cover all alternatives; missing {missing}")
-    return NestStructure(n, tuple(members), tuple(mus))
+def _array(doc: Any, path: str) -> list:
+    _require(isinstance(doc, list), CODE_MALFORMED, path, "expected an array")
+    return doc
 
 
 def _parse_consumer(doc: Any, n: int, path: str) -> ConsumerType:
     doc = _mapping(doc, path)
     count = _number(_key(doc, "count", path), f"{path}.count")
-    _require(count > 0, CODE_MALFORMED, f"{path}.count",
-             f"population count must be positive, got {count}")
     a = _vector(_key(doc, "utilities", path), n, f"{path}.utilities")
-    nests = _parse_nests(_key(doc, "nests", path), n, f"{path}.nests")
-    return ConsumerType(count=count, a=a, nests=nests)
+    members, mus = [], []
+    for l, nest_doc in enumerate(_array(_key(doc, "nests", path), f"{path}.nests")):
+        npath = f"{path}.nests[{l}]"
+        nest_doc = _mapping(nest_doc, npath)
+        raw = _array(_key(nest_doc, "members", npath), f"{npath}.members")
+        for i, x in enumerate(raw):
+            _require(isinstance(x, int) and not isinstance(x, bool), CODE_MALFORMED,
+                     f"{npath}.members[{i}]", "expected an integer index")
+        members.append(tuple(x - 1 for x in raw))  # 1-based on disk
+        mus.append(_number(_key(nest_doc, "mu", npath), f"{npath}.mu"))
+    nests = _build(NestStructure, path, n=n, nests=tuple(members), mu=tuple(mus))
+    return _build(ConsumerType, path, count=count, a=a, nests=nests)
 
 
 def _parse_supplier(doc: Any, n: int, path: str) -> Supplier:
     doc = _mapping(doc, path)
     gamma = _number(_key(doc, "gamma", path), f"{path}.gamma")
-    _require(gamma > 0, CODE_GAMMA, f"{path}.gamma",
-             f"adjustment weight must be positive, got {gamma}")
     y_nat = _vector(_key(doc, "y_nat", path), n, f"{path}.y_nat")
     cap = _mapping(_key(doc, "capacity", path), f"{path}.capacity")
     lo = _vector(_key(cap, "lo", f"{path}.capacity"), n, f"{path}.capacity.lo")
     hi = _vector(_key(cap, "hi", f"{path}.capacity"), n, f"{path}.capacity.hi")
-    _require(bool(np.all(lo >= 0)), CODE_BOUNDS, f"{path}.capacity.lo",
-             "capacity lower bounds must be nonnegative")
-    bad = np.nonzero(lo > hi)[0]
-    _require(bad.size == 0, CODE_BOUNDS, f"{path}.capacity",
-             f"lo > hi at good {bad[0] + 1}" if bad.size else "")
     cost = _mapping(_key(doc, "base_cost", path), f"{path}.base_cost")
     kind = _key(cost, "kind", f"{path}.base_cost")
     _require(kind in ("linear", "quadratic"), CODE_MALFORMED,
              f"{path}.base_cost.kind", f"unknown base cost kind {kind!r}")
     c = _vector(_key(cost, "c", f"{path}.base_cost"), n, f"{path}.base_cost.c")
-    if kind == "quadratic":
-        d = _vector(_key(cost, "d", f"{path}.base_cost"), n, f"{path}.base_cost.d")
-        _require(bool(np.all(d >= 0)), CODE_MALFORMED, f"{path}.base_cost.d",
-                 "quadratic coefficients must be nonnegative")
-    else:
-        d = np.zeros(n)
-    return Supplier(y_nat=y_nat, gamma=gamma, lo=lo, hi=hi, c=c, d=d)
+    d = (_vector(_key(cost, "d", f"{path}.base_cost"), n, f"{path}.base_cost.d")
+         if kind == "quadratic" else np.zeros(n))
+    return _build(Supplier, path, y_nat=y_nat, gamma=gamma, lo=lo, hi=hi, c=c, d=d)
 
 
 def market_from_document(doc: Any) -> Market:
@@ -155,22 +141,15 @@ def market_from_document(doc: Any) -> Market:
     _require(isinstance(n_raw, int) and not isinstance(n_raw, bool) and n_raw >= 1,
              CODE_MALFORMED, "$.n", f"expected a positive integer, got {n_raw!r}")
     n = int(n_raw)
-    consumers_doc = _key(doc, "consumers", "$")
-    _require(isinstance(consumers_doc, list) and consumers_doc, CODE_MALFORMED,
-             "$.consumers", "expected a nonempty array")
-    suppliers_doc = _key(doc, "suppliers", "$")
-    _require(isinstance(suppliers_doc, list) and suppliers_doc, CODE_MALFORMED,
-             "$.suppliers", "expected a nonempty array")
     consumers = tuple(
-        _parse_consumer(c, n, f"$.consumers[{j}]") for j, c in enumerate(consumers_doc)
+        _parse_consumer(c, n, f"$.consumers[{j}]")
+        for j, c in enumerate(_array(_key(doc, "consumers", "$"), "$.consumers"))
     )
     suppliers = tuple(
-        _parse_supplier(s, n, f"$.suppliers[{k}]") for k, s in enumerate(suppliers_doc)
+        _parse_supplier(s, n, f"$.suppliers[{k}]")
+        for k, s in enumerate(_array(_key(doc, "suppliers", "$"), "$.suppliers"))
     )
-    try:
-        return Market(n=n, consumers=consumers, suppliers=suppliers)
-    except StructureError as exc:  # anything the field checks above missed
-        raise SpecError(CODE_MALFORMED, "$", str(exc)) from exc
+    return _build(Market, "$", n=n, consumers=consumers, suppliers=suppliers)
 
 
 def market_to_document(m: Market) -> dict:

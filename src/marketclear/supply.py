@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nested_logit import DomainError, StructureError
+from .nested_logit import (
+    CODE_BOUNDS,
+    CODE_GAMMA,
+    CODE_MALFORMED,
+    check_array,
+    require,
+    require_finite,
+)
 
 
 @dataclass(frozen=True)
@@ -30,6 +37,7 @@ class Supplier:
         c: linear base-cost coefficients.
         d: diagonal-quadratic base-cost coefficients, >= 0 (all zero
            means a linear base cost).
+    Every entry must be finite.
     """
 
     y_nat: np.ndarray
@@ -47,33 +55,20 @@ class Supplier:
         object.__setattr__(self, "gamma", float(self.gamma))
         n = self.y_nat.shape
         for name in ("lo", "hi", "c", "d"):
-            if getattr(self, name).shape != n:
-                raise StructureError(f"supplier field {name} has shape "
-                                     f"{getattr(self, name).shape}, expected {n}")
-        if self.gamma <= 0:
-            raise StructureError(f"adjustment weight must be positive, got {self.gamma}")
-        if np.any(self.lo < 0):
-            raise StructureError("capacity lower bounds must be nonnegative")
-        if np.any(self.lo > self.hi):
-            raise StructureError("capacity box is empty: lo > hi somewhere")
-        if np.any(self.d < 0):
-            raise StructureError("quadratic cost coefficients must be nonnegative")
+            require(getattr(self, name).shape == n, CODE_MALFORMED, name,
+                    f"has shape {getattr(self, name).shape}, expected {n}")
+        require_finite(gamma=self.gamma, y_nat=self.y_nat, lo=self.lo, hi=self.hi,
+                       c=self.c, d=self.d)
+        require(self.gamma > 0, CODE_GAMMA, "gamma",
+                f"adjustment weight must be positive, got {self.gamma}")
+        require(self.lo >= 0, CODE_BOUNDS, "lo", "capacity lower bounds must be nonnegative")
+        require(self.hi >= self.lo, CODE_BOUNDS, "hi", "capacity box is empty: lo > hi")
+        require(self.d >= 0, CODE_MALFORMED, "d",
+                "quadratic cost coefficients must be nonnegative")
 
     @property
     def n(self) -> int:
         return self.y_nat.shape[0]
-
-
-def check_prices(p, n: int, nonnegative: bool = True) -> np.ndarray:
-    """Validate a (batched) price vector: finite, length n, and >= 0 if asked."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim == 0 or p.shape[-1] != n:
-        raise StructureError(f"price vector must have last dimension {n}")
-    if not np.isfinite(p).all():
-        raise DomainError("prices must be finite")
-    if nonnegative and np.any(p < 0):
-        raise DomainError("prices must be nonnegative")
-    return p
 
 
 def total_cost(s: Supplier, y) -> float | np.ndarray:
@@ -106,10 +101,10 @@ def best_response(s: Supplier, p) -> np.ndarray:
     the maximizer is the stationary point (p - c + 2 gamma y_nat) /
     (d + 2 gamma) clipped onto [lo, hi].
     """
-    return _best_response_raw(s, check_prices(p, s.n))
+    return _best_response_raw(s, check_array(p, s.n, "prices", nonnegative=True))
 
 
 def profit(s: Supplier, p) -> float | np.ndarray:
     """Optimal profit <p, y(p)> - cost(y(p)); convex with gradient y(p)."""
-    out = _profit_raw(s, check_prices(p, s.n))
+    out = _profit_raw(s, check_array(p, s.n, "prices", nonnegative=True))
     return float(out) if out.ndim == 0 else out

@@ -194,8 +194,7 @@ def suite_correlation(market: Market, samples: int, seed: int) -> list[CheckResu
     for j, ct in enumerate(market.consumers):
         ns = ct.nests
         cov = sampling.empirical_error_covariance(ns, samples, seed + j)
-        sd = np.sqrt(np.diag(cov))
-        corr = cov / np.outer(sd, sd)
+        corr = sampling.correlation_from_covariance(cov)
         var_dev = float(np.max(np.abs(np.diag(cov) - GUMBEL_VARIANCE)))
         results.append(
             _check("correlation", f"consumer[{j}] marginal variance dev",

@@ -13,6 +13,18 @@ SPEC_DIR = REPO_ROOT / "specs"
 PYTHON = sys.executable
 
 
+def set_leaf(doc, keys, value):
+    """Set the entry of a nested JSON document reached by the keys in turn."""
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+def json_path(keys) -> str:
+    """Spec-error path of a key sequence, e.g. $.suppliers[0].y_nat[3]."""
+    return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+
+
 def random_instance(seed, max_n=12, max_nests=4, v_bound=5.0):
     """Random (nest structure, utility vector) pair, deterministic per seed."""
     rng = np.random.default_rng(seed)

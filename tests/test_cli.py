@@ -7,7 +7,7 @@ import pytest
 from marketclear import specio
 from marketclear.solvers import Trace
 
-from conftest import PYTHON, SPEC_DIR
+from conftest import PYTHON, SPEC_DIR, json_path, set_leaf
 
 SINGLE_GOOD = str(SPEC_DIR / "single_good.json")
 MARKET_N6 = str(SPEC_DIR / "market_n6.json")
@@ -89,9 +89,9 @@ class TestSolve:
 
     def test_non_finite_ter_is_not_converged(self, tmp_path):
         doc = json.loads((SPEC_DIR / "market_n6.json").read_text(encoding="utf-8"))
-        doc["suppliers"][0]["y_nat"][0] = float("inf")
-        bad = tmp_path / "inf_y_nat.json"
-        bad.write_text(json.dumps(doc))  # writes the JSON extension Infinity
+        doc["suppliers"][0]["y_nat"][0] = 1e200  # finite, but overflows the penalty
+        bad = tmp_path / "huge_y_nat.json"
+        bad.write_text(json.dumps(doc))
         r = run_cli("solve", "--market", str(bad))
         assert r.returncode == 1
         assert "non-finite potential value (TER) at iteration 1" in r.stderr
@@ -103,6 +103,35 @@ class TestSolve:
         p0.write_text("[2.9]")
         r = run_cli("solve", "--market", SINGLE_GOOD, "--p0", str(p0))
         assert r.returncode == 0
+
+    def test_p0_of_wrong_length(self, tmp_path):
+        p0 = tmp_path / "p0.json"
+        p0.write_text("[1.0, 2.0]")
+        r = run_cli("solve", "--market", SINGLE_GOOD, "--p0", str(p0))
+        assert r.returncode == 1
+        assert "initial prices have shape (2,), expected (1,)" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("keys, value", [
+        (("suppliers", 0, "y_nat", 0), float("nan")),
+        (("suppliers", 0, "y_nat", 0), float("inf")),
+        (("suppliers", 0, "base_cost", "c", 0), float("nan")),
+        (("suppliers", 0, "base_cost", "c", 0), float("inf")),
+        (("suppliers", 0, "gamma"), float("nan")),
+        (("suppliers", 0, "gamma"), float("inf")),
+        (("suppliers", 0, "capacity", "hi", 0), float("nan")),
+        (("suppliers", 0, "capacity", "hi", 0), float("inf")),
+        (("consumers", 0, "count"), float("inf")),
+        (("consumers", 0, "utilities", 0), float("nan")),
+    ])
+    def test_non_finite_field_is_a_coded_error(self, tmp_path, keys, value):
+        doc = json.loads((SPEC_DIR / "market_n6.json").read_text(encoding="utf-8"))
+        set_leaf(doc, keys, value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))  # writes the JSON extensions NaN and Infinity
+        r = run_cli("solve", "--market", str(bad))
+        assert r.returncode == 1
+        assert r.stderr == f"error: {json_path(keys)}: must be finite [non-finite]\n"
 
     def test_accelerated_scheme(self):
         r = run_cli("solve", "--market", MARKET_N6, "--scheme", "accelerated")

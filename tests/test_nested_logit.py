@@ -175,6 +175,8 @@ class TestConjugate:
             conjugate(ns, [0.5, 0.5, 0.5])
         with pytest.raises(DomainError):
             conjugate(ns, [1.2, -0.2, 0.0])
+        with pytest.raises(DomainError, match="finite"):
+            conjugate(NestStructure.single(2), [np.nan, 1.0])
 
     @given(nest_structures(), st.integers(0, 2**31))
     @settings(max_examples=60, deadline=None)

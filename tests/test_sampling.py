@@ -14,6 +14,7 @@ from marketclear import (
     sample_nested_errors,
     standard_gumbel,
 )
+from marketclear.sampling import BATCH_SIZE
 
 EULER_GAMMA = 0.5772156649015329
 GUMBEL_VAR = math.pi**2 / 6.0
@@ -120,6 +121,30 @@ class TestChoiceFrequencies:
     def test_rejects_zero_samples(self):
         with pytest.raises(DomainError):
             monte_carlo_choice_frequencies(NestStructure.single(2), [0.0, 0.0], 0, 0)
+        with pytest.raises(DomainError, match="finite"):
+            monte_carlo_choice_frequencies(NestStructure.single(2), [np.nan, 0.0], 10, 0)
+
+
+class TestGoldenStreams:
+    """Outputs over more than one batch, pinned to recorded values: a change
+    to the generator, the batching or the draw order fails here."""
+
+    NS = NestStructure(3, ((0, 1), (2,)), (0.5, 1.0))
+    SAMPLES = 3 * BATCH_SIZE + 17
+
+    def test_choice_frequencies(self):
+        freq = monte_carlo_choice_frequencies(self.NS, [1.0, 0.0, 0.5], self.SAMPLES, seed=11)
+        np.testing.assert_array_equal(freq, np.array([110673, 14785, 71167]) / self.SAMPLES)
+
+    def test_error_covariance(self):
+        cov = empirical_error_covariance(self.NS, self.SAMPLES, seed=11)
+        # exact on the recording machine; the tolerance only absorbs
+        # last-bit differences between libm builds of log and sin
+        np.testing.assert_allclose(cov, [
+            [1.6449016459192274, 1.2314291711918965, 0.003986758189632678],
+            [1.2314291711918965, 1.6437784074797752, 0.004942221011899839],
+            [0.003986758189632678, 0.004942221011899839, 1.6496295806825467],
+        ], rtol=1e-13, atol=0)
 
 
 class TestErrorCorrelation:

@@ -152,12 +152,13 @@ class TestSolve:
         assert err.value.iteration == 2
 
     def test_divergence_guard_rejects_non_finite_ter(self):
-        # an infinite natural supply level makes the adjustment penalty,
-        # hence TER, -inf while prices and excess supply stay finite
+        # a huge but finite natural supply level overflows the adjustment
+        # penalty, hence TER, to -inf while prices and excess supply stay
+        # finite
         from marketclear.solvers import DivergedError
 
         doc = json.loads((SPEC_DIR / "market_n6.json").read_text(encoding="utf-8"))
-        doc["suppliers"][0]["y_nat"][0] = float("inf")
+        doc["suppliers"][0]["y_nat"][0] = 1e200
         m = specio.market_from_document(doc)
         assert np.all(np.isfinite(m.ter_gradient(np.zeros(m.n))))
         for scheme in ("basic", "accelerated"):

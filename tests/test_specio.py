@@ -1,9 +1,18 @@
 import json
+import math
+import warnings
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from marketclear import Trace, specio
+from marketclear import SolverConfig, Trace, UnproductiveMarketError, solve, specio
+
+from conftest import SPEC_DIR, json_path, set_leaf
+
+CODES = {specio.CODE_MALFORMED, specio.CODE_PARTITION, specio.CODE_MU_RANGE,
+         specio.CODE_GAMMA, specio.CODE_BOUNDS, specio.CODE_NON_FINITE}
 
 
 def parse(text):
@@ -85,6 +94,88 @@ class TestParsing:
         with pytest.raises(specio.SpecError) as err:
             specio.market_from_document(doc)
         assert err.value.code == specio.CODE_MALFORMED
+
+
+def market_n6():
+    return json.loads((SPEC_DIR / "market_n6.json").read_text(encoding="utf-8"))
+
+
+def float_leaves(doc, keys=()):
+    """Key sequences of every float entry of a JSON document."""
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from float_leaves(v, keys + (k,))
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from float_leaves(v, keys + (i,))
+    elif isinstance(doc, float):
+        yield keys
+
+
+MUTATIONS = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-9, 2.0)
+
+
+class TestFieldRules:
+    """Constructor rules reach spec files as coded errors at the field's path."""
+
+    @pytest.mark.parametrize("keys, value, code", [
+        (("suppliers", 0, "y_nat", 0), math.inf, specio.CODE_NON_FINITE),
+        (("suppliers", 1, "capacity", "hi", 2), math.inf, specio.CODE_NON_FINITE),
+        # finiteness is checked before the bounds rule
+        (("suppliers", 0, "capacity", "lo", 1), math.nan, specio.CODE_NON_FINITE),
+        (("suppliers", 0, "capacity", "lo", 1), -1.0, specio.CODE_BOUNDS),
+        (("suppliers", 1, "capacity", "hi", 3), -1.0, specio.CODE_BOUNDS),
+        (("suppliers", 0, "base_cost", "d", 4), -1.0, specio.CODE_MALFORMED),
+        (("suppliers", 1, "gamma"), 0.0, specio.CODE_GAMMA),
+        (("consumers", 0, "nests", 2, "mu"), 0.0, specio.CODE_MU_RANGE),
+        (("consumers", 1, "nests", 0, "mu"), math.nan, specio.CODE_NON_FINITE),
+        (("consumers", 1, "count"), -1.0, specio.CODE_MALFORMED),
+        (("consumers", 0, "utilities", 5), -math.inf, specio.CODE_NON_FINITE),
+    ])
+    def test_error_names_the_field(self, keys, value, code):
+        doc = market_n6()
+        set_leaf(doc, keys, value)
+        with pytest.raises(specio.SpecError) as err:
+            specio.market_from_document(doc)
+        assert err.value.code == code
+        assert err.value.path == json_path(keys)
+
+    def test_partition_error_names_the_nest(self):
+        doc = market_n6()
+        doc["consumers"][0]["nests"][2]["members"] = [7]
+        with pytest.raises(specio.SpecError, match="index 7 outside 1..6") as err:
+            specio.market_from_document(doc)
+        assert err.value.code == specio.CODE_PARTITION
+        assert err.value.path == "$.consumers[0].nests[2]"
+
+    def test_empty_supplier_list(self):
+        doc = market_n6()
+        doc["suppliers"] = []
+        with pytest.raises(specio.SpecError) as err:
+            specio.market_from_document(doc)
+        assert (err.value.code, err.value.path) == (specio.CODE_MALFORMED, "$.suppliers")
+
+    @given(st.sampled_from(list(float_leaves(market_n6()))), st.sampled_from(MUTATIONS))
+    @settings(max_examples=300, deadline=None)
+    def test_single_field_mutations(self, keys, value):
+        # every mutated spec solves to finite values, is unproductive, or
+        # is rejected with a known code at the mutated field; no warning
+        doc = market_n6()
+        set_leaf(doc, keys, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                m = specio.market_from_document(doc)
+                trace = solve(m, SolverConfig(max_iters=50))
+            except UnproductiveMarketError:
+                return
+            except specio.SpecError as err:
+                assert err.code in CODES
+                assert err.path == json_path(keys)
+                return
+            assert math.isfinite(m.ter(trace.price))
+            assert np.all(np.isfinite(trace.price))
+            assert np.all(np.isfinite(trace.ter))
 
 
 class TestRoundTrip:
