@@ -23,18 +23,28 @@ flat layout that the market builds once, at construction:
 - Suppliers. Their data are stacked into (K, n) arrays, so the best
   responses of all suppliers are one clip and their profits one sum.
 
-`Market.ter` and `Market.ter_gradient` run the same kernel and compute
-only their own half. Prices are processed with the goods on the first
-axis and evaluation points on the second; a block of prices is
-evaluated in chunks of `_CHUNK_ROWS` rows, which bounds the flat and
-stacked temporaries alive at once. The public per-type functions of
-`nested_logit` keep their own per-nest code and serve as the
-independent oracle this kernel is tested against.
+The layout has two entry points with the same arithmetic, chosen by
+the rank of the prices. `_FlatMarket.point` takes one price vector of
+shape (n,): gathers are fancy indexing, demand per good is one
+`np.bincount` and TER comes back as a Python float, which keeps the
+per-call numpy overhead of the solver loop low. `_FlatMarket.kernel`
+takes a block with the goods on the first axis and evaluation points
+on the second, reading column views of the same constants; a block of
+prices is evaluated in chunks of `_CHUNK_ROWS` rows, which bounds the
+flat and stacked temporaries alive at once. Both return bit-identical
+results on one price vector. `Market.ter` and `Market.ter_gradient`
+call the same entry points and compute only their own half.
+
+The solvers check their start prices once and then call `point`
+directly, without the input checks of the public methods. The public
+per-type functions of `nested_logit` keep their own per-nest code and
+serve as the independent oracle this layout is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -152,8 +162,7 @@ class Market:
     def _evaluate(self, p, value: bool, grad: bool):
         p = check_array(p, self.n, "prices")
         if p.ndim == 1:
-            ter, z = self._flat.kernel(p[:, None], value, grad)
-            return (float(ter[0]) if value else None), (z[:, 0] if grad else None)
+            return self._flat.point(p, value, grad)
         rows = p.reshape(-1, self.n)
         ter = np.empty(len(rows)) if value else None
         z = np.empty(rows.shape) if grad else None
@@ -203,7 +212,7 @@ class Market:
     def equilibrium_residual(self, p) -> EquilibriumResidual:
         """Clearing residuals of Definition-style equilibrium conditions at p."""
         p = check_array(p, self.n, "prices", nonnegative=True)
-        z = self.ter_gradient(p)
+        z = self._flat.point(p, False, True)[1]
         natural = p - np.maximum(p - z, 0.0)
         return EquilibriumResidual(
             min_excess=float(z.min()),
@@ -215,13 +224,14 @@ class Market:
 class _FlatMarket:
     """The market laid out for the fused oracle (see the module docstring).
 
-    Element arrays have one row per (type, good) element, segment arrays
-    one row per (type, nest) segment, supplier arrays shape (K, n, 1);
-    the trailing axis broadcasts over evaluation points.
+    Element arrays have one entry per (type, good) element, segment
+    arrays one per (type, nest) segment, supplier arrays shape (K, n).
+    `col` holds the float arrays again as column views of the same
+    data, with a trailing axis that broadcasts over evaluation points.
     """
 
     def __init__(self, market: Market):
-        n = market.n
+        n = self.n = market.n
         goods, seg_len, seg_mu = [], [], []
         type_start, type_of = [], []
         for j, ct in enumerate(market.consumers):
@@ -233,61 +243,92 @@ class _FlatMarket:
                 type_of.append(j)
         self.goods = np.array(goods, dtype=np.intp)
         seg_len = np.array(seg_len, dtype=np.intp)
-        seg_mu = np.array(seg_mu)
         self.n_types = len(market.consumers)
         self.seg_start = np.concatenate(([0], np.cumsum(seg_len)[:-1]))
         self.seg_of = np.repeat(np.arange(len(seg_len)), seg_len)
-        self.seg_mu = seg_mu[:, None]
-        self.inv_mu = (1.0 / seg_mu)[self.seg_of, None]
-        owner = np.repeat(np.arange(self.n_types), n)  # type of each element
-        self.a = np.array([market.consumers[j].a[i] for j, i in zip(owner, self.goods)])[:, None]
         self.type_start = np.array(type_start, dtype=np.intp)
         self.type_of = np.array(type_of, dtype=np.intp)
         self.count = np.array([ct.count for ct in market.consumers])
-        self.seg_count = self.count[self.type_of, None]
         # element of (type j, good i) at position j * n + i
+        owner = np.repeat(np.arange(self.n_types), n)  # type of each element
         self.inverse = np.argsort(owner * n + self.goods, kind="stable")
 
-        def stack(values):
-            return np.array(values, dtype=float)[:, :, None]
-
+        seg_mu = np.array(seg_mu)
         sup = market.suppliers
-        self.offset = stack([2.0 * s.gamma * s.y_nat - s.c for s in sup])
-        self.inv_slope = stack([1.0 / (s.d + 2.0 * s.gamma) for s in sup])
-        self.lo = stack([s.lo for s in sup])
-        self.hi = stack([s.hi for s in sup])
-        self.c = stack([s.c for s in sup])
-        self.half_d = stack([0.5 * s.d for s in sup])
-        self.y_nat = stack([s.y_nat for s in sup])
-        self.gamma = np.array([s.gamma for s in sup])[:, None, None]
+        floats = {
+            "seg_mu": seg_mu,
+            "inv_mu": (1.0 / seg_mu)[self.seg_of],
+            "a": np.array([market.consumers[j].a[i] for j, i in zip(owner, self.goods)]),
+            "seg_count": self.count[self.type_of],
+            "offset": np.array([2.0 * s.gamma * s.y_nat - s.c for s in sup]),
+            "inv_slope": np.array([1.0 / (s.d + 2.0 * s.gamma) for s in sup]),
+            "lo": np.array([s.lo for s in sup]),
+            "hi": np.array([s.hi for s in sup]),
+            "c": np.array([s.c for s in sup]),
+            "half_d": np.array([0.5 * s.d for s in sup]),
+            "y_nat": np.array([s.y_nat for s in sup]),
+            "gamma": np.array([s.gamma for s in sup])[:, None],
+        }
+        self.__dict__.update(floats)
+        self.col = SimpleNamespace(**{k: v[..., None] for k, v in floats.items()})
+
+    def point(self, p: np.ndarray, value: bool, grad: bool):
+        """TER (a float) and z (shape (n,)) at one price vector p of shape
+        (n,), each computed only if asked for; the same arithmetic as
+        `kernel` on the single column p[:, None]."""
+        y = (p + self.offset) * self.inv_slope  # supplier stationary points
+        np.maximum(y, self.lo, out=y)
+        np.minimum(y, self.hi, out=y)
+
+        w = p[self.goods]
+        np.subtract(self.a, w, out=w)
+        w *= self.inv_mu  # v / mu, element by element
+        top = np.maximum.reduceat(w, self.seg_start)
+        w -= top[self.seg_of]
+        np.exp(w, out=w)
+        within = np.add.reduceat(w, self.seg_start)
+        iv = self.seg_mu * (top + np.log(within))  # inclusive values
+        top_iv = np.maximum.reduceat(iv, self.type_start)
+        nest = np.exp(iv - top_iv[self.type_of])
+        total = np.add.reduceat(nest, self.type_start)
+
+        ter = z = None
+        if value:
+            profit = y * ((p - self.c) - self.half_d * y) - self.gamma * np.square(y - self.y_nat)
+            ter = float(profit.sum() + self.count @ (top_iv + np.log(total)))
+        if grad:
+            w *= (nest * (self.seg_count / (total[self.type_of] * within)))[self.seg_of]
+            z = y.sum(axis=0) - np.bincount(self.goods, w, self.n)
+        return ter, z
 
     def kernel(self, x: np.ndarray, value: bool, grad: bool):
         """TER (shape (R,)) and z (shape (n, R)) at the R columns of x,
         each computed only if asked for; x has shape (n, R)."""
-        y = (x + self.offset) * self.inv_slope  # supplier stationary points
-        np.maximum(y, self.lo, out=y)
-        np.minimum(y, self.hi, out=y)
+        c = self.col
+        y = (x + c.offset) * c.inv_slope  # supplier stationary points
+        np.maximum(y, c.lo, out=y)
+        np.minimum(y, c.hi, out=y)
 
         w = x.take(self.goods, axis=0)
-        np.subtract(self.a, w, out=w)
-        w *= self.inv_mu  # v / mu, element by element
+        np.subtract(c.a, w, out=w)
+        w *= c.inv_mu  # v / mu, element by element
         top = np.maximum.reduceat(w, self.seg_start)
         w -= top.take(self.seg_of, axis=0)
         np.exp(w, out=w)
         within = np.add.reduceat(w, self.seg_start)
-        iv = self.seg_mu * (top + np.log(within))  # inclusive values
+        iv = c.seg_mu * (top + np.log(within))  # inclusive values
         top_iv = np.maximum.reduceat(iv, self.type_start)
         nest = np.exp(iv - top_iv.take(self.type_of, axis=0))
         total = np.add.reduceat(nest, self.type_start)
 
         ter = z = None
         if value:
-            profit = y * ((x - self.c) - self.half_d * y) - self.gamma * np.square(y - self.y_nat)
+            profit = y * ((x - c.c) - c.half_d * y) - c.gamma * np.square(y - c.y_nat)
             ter = profit.sum(axis=(0, 1)) + self.count @ (top_iv + np.log(total))
         if grad:
             # count_j * P(nest) / (within-nest sum) turns w = exp(v/mu - top)
             # into the demand of each element
-            w *= (nest * (self.seg_count / (total.take(self.type_of, axis=0) * within))
+            w *= (nest * (c.seg_count / (total.take(self.type_of, axis=0) * within))
                   ).take(self.seg_of, axis=0)
             demand = w.take(self.inverse, axis=0).reshape(self.n_types, -1, x.shape[1])
             z = y.sum(axis=0) - demand.sum(axis=0)

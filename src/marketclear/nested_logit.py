@@ -128,7 +128,8 @@ class NestStructure:
         require(not missing, CODE_PARTITION, "nests",
                 f"nests do not cover all alternatives; missing {missing}")
         for l, m in enumerate(self.mu):
-            require(MU_MIN < m <= 1.0, CODE_MU_RANGE, f"mu[{l}]", f"mu out of range (0,1]: {m}")
+            require(MU_MIN < m <= 1.0, CODE_MU_RANGE, f"mu[{l}]",
+                    f"mu out of range ({MU_MIN:g}, 1]: {m}")
 
         # index arrays cached for the hot evaluation paths
         object.__setattr__(

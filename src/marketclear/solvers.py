@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,12 +206,15 @@ class _Recorder:
         the step that reached it (default h), and return its clearing
         residual."""
         t = len(self.rows) + 1
-        if not (np.isfinite(p).all() and np.isfinite(z).all()):
+        residual = _natural_residual(p, z)
+        complementarity = float(np.dot(p, z))
+        # a NaN or +-inf in p or z makes the residual or <p, z> non-finite:
+        # z_i = +inf leaves the natural map finite but gives p_i * inf
+        if not math.isfinite(residual + complementarity):
             raise DivergedError(t)
         if not math.isfinite(value):
             raise DivergedError(t, "potential value (TER)")
-        residual = _natural_residual(p, z)
-        self.rows.append((value, residual, float(z.min()), float(np.dot(p, z)),
+        self.rows.append((value, residual, float(z.min()), complementarity,
                           self.h if step is None else step))
         return residual
 
@@ -239,6 +243,7 @@ def solve(market: Market, config: SolverConfig | None = None) -> Trace:
     reports convergence at a non-finite TER.
     """
     config = config or SolverConfig()
+    start = time.perf_counter()
     _require_productive(market)
     h = resolve_step(market, config.step)
     p = _initial_prices(market, config.p0)
@@ -246,12 +251,15 @@ def solve(market: Market, config: SolverConfig | None = None) -> Trace:
     log.info("solve scheme=%s h=%g tol=%g max_iters=%d", config.scheme, h,
              config.tol, config.max_iters)
 
+    # p is checked by _initial_prices and every iterate by the recorder,
+    # so the loop calls the market's unchecked single-point oracle
+    oracle = market._flat.point
     converged = False
     if config.scheme == "basic":
-        z = market.ter_gradient(p)
+        z = oracle(p, False, True)[1]
         for _ in range(config.max_iters):
             p = np.maximum(p - h * z, 0.0)
-            value, z = market.value_and_grad(p)
+            value, z = oracle(p, True, True)
             if rec.record(p, z, value) <= config.tol:
                 converged = True
                 break
@@ -260,20 +268,22 @@ def solve(market: Market, config: SolverConfig | None = None) -> Trace:
         p_prev = p.copy()
         gamma = 1.0
         for _ in range(config.max_iters):
-            zq = market.ter_gradient(q)  # q may sit outside the orthant; z extends there
+            zq = oracle(q, False, True)[1]  # q may sit outside the orthant; z extends there
             p = np.maximum(q - h * zq, 0.0)
             gamma_n = gamma_next(gamma)
             q = p + ((gamma - 1.0) / gamma_n) * (p - p_prev)
             gamma = gamma_n
             p_prev = p
-            value, z = market.value_and_grad(p)
+            value, z = oracle(p, True, True)
             if rec.record(p, z, value) <= config.tol:
                 converged = True
                 break
 
     trace = rec.finish(config.scheme, p, converged)
-    log.info("solve done: iters=%d converged=%s residual=%.3e",
-             trace.iterations, converged, trace.grad_norm[-1])
+    evals = trace.iterations + 1 if config.scheme == "basic" else 2 * trace.iterations
+    log.info("solve done: iters=%d converged=%s residual=%.3e oracle_evals=%d wall_s=%.3f",
+             trace.iterations, converged, trace.grad_norm[-1], evals,
+             time.perf_counter() - start)
     return trace
 
 

@@ -296,6 +296,19 @@ class TestFusedOracle:
             assert_close(m.ter(p), ter_ref)
             assert_close(m.ter_gradient(p), z_ref)
 
+    def test_point_path_equals_one_row_block(self, name):
+        m = ORACLE_MARKETS[name]
+        flat = m._flat
+        for key, column in vars(flat.col).items():  # one data set for both paths
+            assert np.shares_memory(column, getattr(flat, key))
+        for p in _oracle_points(m.n).values():
+            if p.ndim != 1:
+                continue
+            ter, z = m.value_and_grad(p)
+            ter_b, z_b = m.value_and_grad(p[None])
+            assert ter == ter_b[0]
+            np.testing.assert_array_equal(z, z_b[0])
+
     def test_block_rows_match_single_points(self, name):
         m = ORACLE_MARKETS[name]
         block = _oracle_points(m.n)["block"]

@@ -64,6 +64,8 @@ class TestNestStructure:
             NestStructure(2, ((0, 1),), (1.5,))
         with pytest.raises(StructureError, match="mu out of range"):
             NestStructure(2, ((0, 1),), (0.0,))
+        with pytest.raises(StructureError, match=r"mu out of range \(1e-06, 1\]: 1e-07"):
+            NestStructure(2, ((0, 1),), (1e-7,))
         NestStructure(2, ((0, 1),), (1.0,))  # mu = 1 exactly is allowed
 
     def test_index_bounds(self):

@@ -144,12 +144,16 @@ class TestSolve:
     def test_divergence_guard_names_iteration(self, single_good_market):
         from marketclear.solvers import DivergedError, _Recorder
 
-        rec = _Recorder(0.1)
-        p = np.array([1.0])
-        rec.record(p, np.array([0.5]), single_good_market.ter(p))
-        with pytest.raises(DivergedError, match="iteration 2") as err:
-            rec.record(np.array([np.inf]), np.array([0.0]), 0.0)
-        assert err.value.iteration == 2
+        # z_i = +inf leaves the natural-map residual finite; <p, z> catches it
+        for bad_p, bad_z in [(np.inf, 0.0), (np.nan, 0.0), (1.0, np.inf), (0.0, np.inf),
+                             (1.0, -np.inf), (1.0, np.nan)]:
+            rec = _Recorder(0.1)
+            p = np.array([1.0])
+            rec.record(p, np.array([0.5]), single_good_market.ter(p))
+            with (pytest.raises(DivergedError, match="non-finite iterate at iteration 2") as err,
+                  np.errstate(invalid="ignore")):
+                rec.record(np.array([bad_p, 1.0]), np.array([bad_z, 0.5]), 0.0)
+            assert err.value.iteration == 2
 
     def test_divergence_guard_rejects_non_finite_ter(self):
         # a huge but finite natural supply level overflows the adjustment
@@ -165,6 +169,38 @@ class TestSolve:
             with pytest.raises(DivergedError, match="TER.*iteration 1") as err:
                 solve(m, SolverConfig(scheme=scheme))
             assert err.value.iteration == 1
+
+    @pytest.mark.parametrize("scheme", ["basic", "accelerated"])
+    def test_done_line_reports_evaluations_and_wall_time(self, six_good_market, scheme, caplog):
+        with caplog.at_level(logging.INFO, logger="marketclear.solvers"):
+            trace = solve(six_good_market, SolverConfig(scheme=scheme))
+        done = [r.getMessage() for r in caplog.records if "solve done" in r.getMessage()]
+        assert len(done) == 1
+        evals = trace.iterations + 1 if scheme == "basic" else 2 * trace.iterations
+        assert f"iters={trace.iterations} " in done[0]
+        assert f" oracle_evals={evals} " in done[0]
+        wall = float(done[0].split("wall_s=")[1])
+        assert 0.0 < wall < 60.0
+
+    def test_single_point_oracle_matches_block_kernel(self, monkeypatch):
+        # the solvers call the single-point path; a run through the block
+        # kernel, one column at a time, must give the same trace bit for bit
+        from marketclear.market import _FlatMarket
+
+        def via_block(self, p, value, grad):
+            ter, z = self.kernel(p[:, None], value, grad)
+            return (float(ter[0]) if value else None), (z[:, 0] if grad else None)
+
+        m = specio.market_from_document(
+            json.loads((SPEC_DIR / "market_n6.json").read_text(encoding="utf-8")))
+        schemes = ("basic", "accelerated")
+        fast = [solve(m, SolverConfig(scheme=s)) for s in schemes]
+        monkeypatch.setattr(_FlatMarket, "point", via_block)
+        for a in fast:
+            b = solve(m, SolverConfig(scheme=a.scheme))
+            for field in ("ter", "grad_norm", "min_excess", "complementarity", "steps", "price"):
+                np.testing.assert_array_equal(getattr(a, field), getattr(b, field), err_msg=field)
+            assert a.converged == b.converged
 
 
 class TestConvergenceBounds:

@@ -56,7 +56,7 @@ class TestParsing:
 
     def test_mu_out_of_range(self, doc):
         doc["consumers"][0]["nests"][0]["mu"] = 1.5
-        with pytest.raises(specio.SpecError, match=r"mu out of range \(0,1\]") as err:
+        with pytest.raises(specio.SpecError, match=r"mu out of range \(1e-06, 1\]") as err:
             specio.market_from_document(doc)
         assert err.value.code == specio.CODE_MU_RANGE
 
