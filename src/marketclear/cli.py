@@ -91,12 +91,12 @@ def _cmd_solve(args) -> int:
             specio.write_trace(trace, args.trace)
         except OSError as exc:
             return _fail(str(exc))
-    res = market.equilibrium_residual(trace.price)
+    # the trace's last row already holds the residuals and TER of trace.price
     print(
         f"scheme={trace.scheme} iters={trace.iterations} "
-        f"converged={str(trace.converged).lower()} residual={res.grad_norm:.3e} "
-        f"min_excess={res.min_excess:.3e} complementarity={res.complementarity:.3e} "
-        f"ter={market.ter(trace.price):.17g}"
+        f"converged={str(trace.converged).lower()} residual={trace.grad_norm[-1]:.3e} "
+        f"min_excess={trace.min_excess[-1]:.3e} "
+        f"complementarity={trace.complementarity[-1]:.3e} ter={trace.ter[-1]:.17g}"
     )
     return 0 if trace.converged else 2
 

@@ -19,30 +19,35 @@ flat layout that the market builds once, at construction:
   `np.add.reduceat` give every nest's log-sum-exp, hence its inclusive
   value; a second pair over the segments of each type gives the
   surplus per type. The choice probabilities reuse the same
-  exponentials, and a precomputed inverse gather sums them per good.
+  exponentials.
 - Suppliers. Their data are stacked into (K, n) arrays, so the best
   responses of all suppliers are one clip and their profits one sum.
 
-The layout has two entry points with the same arithmetic, chosen by
-the rank of the prices. `_FlatMarket.point` takes one price vector of
-shape (n,): gathers are fancy indexing, demand per good is one
-`np.bincount` and TER comes back as a Python float, which keeps the
-per-call numpy overhead of the solver loop low. `_FlatMarket.kernel`
-takes a block with the goods on the first axis and evaluation points
-on the second, reading column views of the same constants; a block of
-prices is evaluated in chunks of `_CHUNK_ROWS` rows, which bounds the
-flat and stacked temporaries alive at once. Both return bit-identical
-results on one price vector. `Market.ter` and `Market.ter_gradient`
-call the same entry points and compute only their own half.
+One body, `_FlatMarket.kernel`, evaluates the layout, and the rank of
+the prices picks the only two things that differ. One price vector of
+shape (n,) reads the constants as they are and sums demand per good
+with one `np.bincount`, which keeps the per-call numpy overhead of the
+solver loop low. A block with the goods on the first axis and
+evaluation points on the second reads column views of the same
+constants (`_FlatMarket.col`) and sums demand per good through a
+precomputed inverse gather; `Market` evaluates a block of prices in
+chunks of `_CHUNK_ROWS` rows, which bounds the flat and stacked
+temporaries alive at once. Both give bit-identical results on one price
+vector. `Market.ter` and `Market.ter_gradient` call the same kernel and
+compute only their own half.
 
-The solvers check their start prices once and then call `point`
-directly, without the input checks of the public methods. The public
-per-type functions of `nested_logit` keep their own per-nest code and
-serve as the independent oracle this layout is tested against.
+The solvers check their start prices once and then call the kernel
+directly, without the input checks of the public methods.
+`clearing_residuals` computes the natural-map residual, min z and
+<p, z> of one price vector for `Market.equilibrium_residual` and the
+solver records alike. The public per-type functions of `nested_logit`
+keep their own per-nest code and serve as the independent oracle this
+layout is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -95,6 +100,13 @@ class EquilibriumResidual:
     min_excess: float
     complementarity: float
     grad_norm: float
+
+
+def clearing_residuals(p: np.ndarray, z: np.ndarray) -> tuple[float, float, float]:
+    """Natural-map residual ||p - [p - z]_+||_2, min_i z_i and <p, z> of
+    one price vector p with excess supply z."""
+    natural = p - np.maximum(p - z, 0.0)
+    return math.sqrt(np.dot(natural, natural)), float(z.min()), float(np.dot(p, z))
 
 
 @dataclass(frozen=True)
@@ -162,7 +174,8 @@ class Market:
     def _evaluate(self, p, value: bool, grad: bool):
         p = check_array(p, self.n, "prices")
         if p.ndim == 1:
-            return self._flat.point(p, value, grad)
+            ter, z = self._flat.kernel(p, value, grad)
+            return (float(ter) if value else None), z
         rows = p.reshape(-1, self.n)
         ter = np.empty(len(rows)) if value else None
         z = np.empty(rows.shape) if grad else None
@@ -212,13 +225,10 @@ class Market:
     def equilibrium_residual(self, p) -> EquilibriumResidual:
         """Clearing residuals of Definition-style equilibrium conditions at p."""
         p = check_array(p, self.n, "prices", nonnegative=True)
-        z = self._flat.point(p, False, True)[1]
-        natural = p - np.maximum(p - z, 0.0)
-        return EquilibriumResidual(
-            min_excess=float(z.min()),
-            complementarity=float(np.dot(p, z)),
-            grad_norm=float(np.linalg.norm(natural)),
-        )
+        z = self._flat.kernel(p, False, True)[1]
+        grad_norm, min_excess, complementarity = clearing_residuals(p, z)
+        return EquilibriumResidual(min_excess=min_excess, complementarity=complementarity,
+                                   grad_norm=grad_norm)
 
 
 class _FlatMarket:
@@ -272,53 +282,28 @@ class _FlatMarket:
         self.__dict__.update(floats)
         self.col = SimpleNamespace(**{k: v[..., None] for k, v in floats.items()})
 
-    def point(self, p: np.ndarray, value: bool, grad: bool):
-        """TER (a float) and z (shape (n,)) at one price vector p of shape
-        (n,), each computed only if asked for; the same arithmetic as
-        `kernel` on the single column p[:, None]."""
-        y = (p + self.offset) * self.inv_slope  # supplier stationary points
-        np.maximum(y, self.lo, out=y)
-        np.minimum(y, self.hi, out=y)
-
-        w = p[self.goods]
-        np.subtract(self.a, w, out=w)
-        w *= self.inv_mu  # v / mu, element by element
-        top = np.maximum.reduceat(w, self.seg_start)
-        w -= top[self.seg_of]
-        np.exp(w, out=w)
-        within = np.add.reduceat(w, self.seg_start)
-        iv = self.seg_mu * (top + np.log(within))  # inclusive values
-        top_iv = np.maximum.reduceat(iv, self.type_start)
-        nest = np.exp(iv - top_iv[self.type_of])
-        total = np.add.reduceat(nest, self.type_start)
-
-        ter = z = None
-        if value:
-            profit = y * ((p - self.c) - self.half_d * y) - self.gamma * np.square(y - self.y_nat)
-            ter = float(profit.sum() + self.count @ (top_iv + np.log(total)))
-        if grad:
-            w *= (nest * (self.seg_count / (total[self.type_of] * within)))[self.seg_of]
-            z = y.sum(axis=0) - np.bincount(self.goods, w, self.n)
-        return ter, z
-
     def kernel(self, x: np.ndarray, value: bool, grad: bool):
-        """TER (shape (R,)) and z (shape (n, R)) at the R columns of x,
-        each computed only if asked for; x has shape (n, R)."""
-        c = self.col
+        """TER and z at prices x, each computed only if asked for.
+
+        x is one price vector of shape (n,), giving a scalar TER and z of
+        shape (n,), or a block of shape (n, R) with one evaluation point
+        per column, giving TER of shape (R,) and z of shape (n, R).
+        """
+        c = self if x.ndim == 1 else self.col
         y = (x + c.offset) * c.inv_slope  # supplier stationary points
         np.maximum(y, c.lo, out=y)
         np.minimum(y, c.hi, out=y)
 
-        w = x.take(self.goods, axis=0)
+        w = x[self.goods]
         np.subtract(c.a, w, out=w)
         w *= c.inv_mu  # v / mu, element by element
         top = np.maximum.reduceat(w, self.seg_start)
-        w -= top.take(self.seg_of, axis=0)
+        w -= top[self.seg_of]
         np.exp(w, out=w)
         within = np.add.reduceat(w, self.seg_start)
         iv = c.seg_mu * (top + np.log(within))  # inclusive values
         top_iv = np.maximum.reduceat(iv, self.type_start)
-        nest = np.exp(iv - top_iv.take(self.type_of, axis=0))
+        nest = np.exp(iv - top_iv[self.type_of])
         total = np.add.reduceat(nest, self.type_start)
 
         ter = z = None
@@ -328,8 +313,11 @@ class _FlatMarket:
         if grad:
             # count_j * P(nest) / (within-nest sum) turns w = exp(v/mu - top)
             # into the demand of each element
-            w *= (nest * (c.seg_count / (total.take(self.type_of, axis=0) * within))
-                  ).take(self.seg_of, axis=0)
-            demand = w.take(self.inverse, axis=0).reshape(self.n_types, -1, x.shape[1])
-            z = y.sum(axis=0) - demand.sum(axis=0)
+            w *= (nest * (c.seg_count / (total[self.type_of] * within)))[self.seg_of]
+            if x.ndim == 1:
+                demand = np.bincount(self.goods, w, self.n)
+            else:
+                demand = w.take(self.inverse, axis=0).reshape(
+                    self.n_types, -1, x.shape[1]).sum(axis=0)
+            z = y.sum(axis=0) - demand
         return ter, z

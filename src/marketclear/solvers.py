@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import Market
+from .market import Market, clearing_residuals
 
 log = logging.getLogger("marketclear.solvers")
 
@@ -91,7 +91,7 @@ class SolverConfig:
 
     step=None selects h = 1 / smoothness_constant(market); an explicit
     step may only be smaller, never larger. p0=None starts from zero
-    prices.
+    prices; a given p0 is checked once, when the solve starts.
     """
 
     scheme: str = "basic"
@@ -109,8 +109,6 @@ class SolverConfig:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.tol < 0:
             raise ConfigError(f"tolerance must be >= 0, got {self.tol}")
-        if self.p0 is not None:
-            self.p0 = _checked_p0(self.p0)
 
 
 @dataclass
@@ -151,12 +149,6 @@ def gamma_next(gamma_t: float) -> float:
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * gamma_t * gamma_t))
 
 
-def _natural_residual(p: np.ndarray, z: np.ndarray) -> float:
-    """Clearing residual ||p - [p - z]_+||_2 of prices p with excess supply z."""
-    natural = p - np.maximum(p - z, 0.0)
-    return math.sqrt(np.dot(natural, natural))
-
-
 def _require_productive(market: Market) -> None:
     if not market.productivity_check():
         raise UnproductiveMarketError(
@@ -165,15 +157,13 @@ def _require_productive(market: Market) -> None:
         )
 
 
-def _checked_p0(p0) -> np.ndarray:
-    p0 = np.asarray(p0, dtype=float)
-    if np.any(p0 < 0) or not np.all(np.isfinite(p0)):
-        raise ConfigError("initial prices must be finite and nonnegative")
-    return p0
-
-
 def _initial_prices(market: Market, p0: np.ndarray | None) -> np.ndarray:
-    p = np.zeros(market.n) if p0 is None else _checked_p0(p0).copy()
+    """The start prices, zero by default; the one check of a given p0."""
+    if p0 is None:
+        return np.zeros(market.n)
+    p = np.array(p0, dtype=float)
+    if np.any(p < 0) or not np.all(np.isfinite(p)):
+        raise ConfigError("initial prices must be finite and nonnegative")
     if p.shape != (market.n,):
         raise ConfigError(f"initial prices have shape {p.shape}, expected ({market.n},)")
     return p
@@ -206,15 +196,14 @@ class _Recorder:
         the step that reached it (default h), and return its clearing
         residual."""
         t = len(self.rows) + 1
-        residual = _natural_residual(p, z)
-        complementarity = float(np.dot(p, z))
+        residual, min_excess, complementarity = clearing_residuals(p, z)
         # a NaN or +-inf in p or z makes the residual or <p, z> non-finite:
         # z_i = +inf leaves the natural map finite but gives p_i * inf
         if not math.isfinite(residual + complementarity):
             raise DivergedError(t)
         if not math.isfinite(value):
             raise DivergedError(t, "potential value (TER)")
-        self.rows.append((value, residual, float(z.min()), complementarity,
+        self.rows.append((value, residual, min_excess, complementarity,
                           self.h if step is None else step))
         return residual
 
@@ -252,8 +241,8 @@ def solve(market: Market, config: SolverConfig | None = None) -> Trace:
              config.tol, config.max_iters)
 
     # p is checked by _initial_prices and every iterate by the recorder,
-    # so the loop calls the market's unchecked single-point oracle
-    oracle = market._flat.point
+    # so the loop calls the market's unchecked oracle on one price vector
+    oracle = market._flat.kernel
     converged = False
     if config.scheme == "basic":
         z = oracle(p, False, True)[1]
@@ -308,7 +297,7 @@ def reference_solve(market: Market, p0: np.ndarray | None = None) -> Trace:
     p = _initial_prices(market, p0)
     rec = _Recorder(1.0)
     value, z = market.value_and_grad(p)
-    r = _natural_residual(p, z)
+    r = clearing_residuals(p, z)[0]
     evals, hessians = 1, 0
     while r > REFERENCE_TOL and len(rec.rows) < REFERENCE_MAX_ITERS:
         hess = _fd_hessian(market, p)
@@ -326,7 +315,7 @@ def reference_solve(market: Market, p0: np.ndarray | None = None) -> Trace:
             trial = np.maximum(p + alpha * d, 0.0)
             t_value, t_z = market.value_and_grad(trial)
             evals += 1
-            t_r = _natural_residual(trial, t_z)
+            t_r = clearing_residuals(trial, t_z)[0]
             armijo = _ARMIJO_SIGMA * (
                 alpha * descent + np.dot(z[active], p[active] - trial[active]))
             if value - t_value >= armijo or t_r <= 0.5 * r:

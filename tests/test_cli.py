@@ -112,6 +112,17 @@ class TestSolve:
         assert "initial prices have shape (2,), expected (1,)" in r.stderr
         assert "Traceback" not in r.stderr
 
+    def test_summary_is_the_last_trace_row(self, tmp_path):
+        trace_path = tmp_path / "run.csv"
+        r = run_cli("solve", "--market", MARKET_N6, "--trace", str(trace_path))
+        assert r.returncode == 0, r.stderr
+        fields = dict(kv.split("=", 1) for kv in r.stdout.split())
+        table = specio.read_trace(str(trace_path))
+        assert float(fields["ter"]) == table.ter[-1]
+        assert fields["residual"] == f"{table.grad_norm[-1]:.3e}"
+        assert fields["min_excess"] == f"{table.min_excess[-1]:.3e}"
+        assert fields["complementarity"] == f"{table.complementarity[-1]:.3e}"
+
     @pytest.mark.parametrize("keys, value", [
         (("suppliers", 0, "y_nat", 0), float("nan")),
         (("suppliers", 0, "y_nat", 0), float("inf")),

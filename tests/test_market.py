@@ -1,6 +1,8 @@
+import hypothesis.strategies as st
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import marketclear as mc
 from marketclear import specio
@@ -318,6 +320,25 @@ class TestFusedOracle:
             assert isinstance(ter_r, float)
             assert_close(ter[r], ter_r)
             assert_close(z[r], z_r)
+
+
+@given(st.integers(1, 20), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**31), st.data())
+@settings(max_examples=40, deadline=None)
+def test_kernel_vector_equals_one_column_block(n, n_types, n_suppliers, seed, data):
+    # a vector and a one-column block take different constants and
+    # demand reductions in the kernel; the results must agree exactly
+    flat = specio.market_from_document(
+        specio.generate_market(n, n_types, n_suppliers, seed))._flat
+    p = np.array(data.draw(st.lists(st.floats(-5.0, 10.0), min_size=n, max_size=n)))
+    for value in (True, False):
+        for grad in (True, False):
+            ter, z = flat.kernel(p, value, grad)
+            ter_b, z_b = flat.kernel(p[:, None], value, grad)
+            assert (ter is None) == (not value) and (z is None) == (not grad)
+            if value:
+                assert np.ndim(ter) == 0 and ter == ter_b[0]
+            if grad:
+                np.testing.assert_array_equal(z, z_b[:, 0])
 
 
 @pytest.mark.parametrize("scheme", ["basic", "accelerated"])

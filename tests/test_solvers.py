@@ -183,19 +183,22 @@ class TestSolve:
         assert 0.0 < wall < 60.0
 
     def test_single_point_oracle_matches_block_kernel(self, monkeypatch):
-        # the solvers call the single-point path; a run through the block
-        # kernel, one column at a time, must give the same trace bit for bit
+        # the solvers call the kernel on one price vector; a run that sends
+        # each vector through the block branch as one column must give the
+        # same trace bit for bit
         from marketclear.market import _FlatMarket
 
+        kernel = _FlatMarket.kernel
+
         def via_block(self, p, value, grad):
-            ter, z = self.kernel(p[:, None], value, grad)
-            return (float(ter[0]) if value else None), (z[:, 0] if grad else None)
+            ter, z = kernel(self, p[:, None], value, grad)
+            return (ter[0] if value else None), (z[:, 0] if grad else None)
 
         m = specio.market_from_document(
             json.loads((SPEC_DIR / "market_n6.json").read_text(encoding="utf-8")))
         schemes = ("basic", "accelerated")
         fast = [solve(m, SolverConfig(scheme=s)) for s in schemes]
-        monkeypatch.setattr(_FlatMarket, "point", via_block)
+        monkeypatch.setattr(_FlatMarket, "kernel", via_block)
         for a in fast:
             b = solve(m, SolverConfig(scheme=a.scheme))
             for field in ("ter", "grad_norm", "min_excess", "complementarity", "steps", "price"):
@@ -299,10 +302,12 @@ class TestReferenceSolve:
         np.testing.assert_array_equal(again.price, ref.price)
 
     def test_rejects_bad_start(self, six_good_market):
-        with pytest.raises(ConfigError, match="shape"):
-            reference_solve(six_good_market, p0=np.zeros(3))
-        with pytest.raises(ConfigError, match="nonnegative"):
-            reference_solve(six_good_market, p0=-np.ones(6))
+        for run in (lambda p0: reference_solve(six_good_market, p0=p0),
+                    lambda p0: solve(six_good_market, SolverConfig(p0=p0))):
+            with pytest.raises(ConfigError, match="shape"):
+                run(np.zeros(3))
+            with pytest.raises(ConfigError, match="nonnegative"):
+                run(-np.ones(6))
 
     def test_singular_hessian_at_start(self):
         # one consumer type, and at p = 0 every supplier is clipped at its
