@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,19 +88,20 @@ def suite_gradient(market: Market, samples: int, seed: int) -> list[CheckResult]
     """Choice probabilities and excess supply against finite differences."""
     rng = np.random.default_rng(seed)
     results = []
+    # np.max, unlike Python's max, lets a NaN measurement through to the check
     for j, ct in enumerate(market.consumers):
-        err = max(
+        err = np.max([
             gradient_error(ct.nests, rng.uniform(-5.0, 5.0, market.n))
             for _ in range(20)
-        )
+        ])
         results.append(_check("gradient", f"consumer[{j}] surplus gradient", err, FD_RTOL))
-    worst = 0.0
+    errs = []
     for _ in range(20):
         p = rng.uniform(0.0, 5.0, market.n)
         z = market.ter_gradient(p)
         fd = fd_gradient(market.ter, p)
-        worst = max(worst, float(np.max(np.abs(z - fd)) / max(1.0, np.max(np.abs(z)))))
-    results.append(_check("gradient", "market excess supply", worst, FD_RTOL))
+        errs.append(np.max(np.abs(z - fd)) / max(1.0, np.max(np.abs(z))))
+    results.append(_check("gradient", "market excess supply", np.max(errs), FD_RTOL))
     return results
 
 
@@ -203,23 +205,19 @@ def suite_correlation(market: Market, samples: int, seed: int) -> list[CheckResu
         nest_of = np.empty(ns.n, dtype=int)
         for l, nest in enumerate(ns.nests):
             nest_of[list(nest)] = l
-        within_dev = 0.0
-        cross_dev = 0.0
-        has_within = False
-        for a in range(ns.n):
-            for b in range(a + 1, ns.n):
-                if nest_of[a] == nest_of[b]:
-                    target = 1.0 - ns.mu[nest_of[a]] ** 2
-                    within_dev = max(within_dev, abs(corr[a, b] - target))
-                    has_within = True
-                else:
-                    cross_dev = max(cross_dev, abs(corr[a, b]))
-        if has_within:
+        pairs = np.triu(np.ones((ns.n, ns.n), dtype=bool), k=1)
+        same = nest_of[:, None] == nest_of[None, :]
+        target = 1.0 - np.asarray(ns.mu)[nest_of] ** 2  # per row a of pair (a, b)
+        # reductions over the pair masks propagate a NaN entry into the check
+        within = pairs & same
+        if within.any():
+            within_dev = np.max(np.abs(corr - target[:, None])[within])
             results.append(
                 _check("correlation", f"consumer[{j}] within-nest corr dev",
                        within_dev, CORR_WITHIN_TOL)
             )
         if ns.n_nests > 1:
+            cross_dev = np.max(np.abs(corr[pairs & ~same]))
             results.append(
                 _check("correlation", f"consumer[{j}] cross-nest corr",
                        cross_dev, CORR_CROSS_TOL)
@@ -274,9 +272,14 @@ def run_suites(names, market: Market, samples: int, seed: int) -> list[CheckResu
     for name in names:
         if name not in _SUITE_FNS:
             raise ValueError(f"unknown suite {name!r}; expected one of {SUITES}")
+    logging_info = log.isEnabledFor(logging.INFO)
     results = []
     for name in SUITES:
         if name in names:
-            log.info("running suite %s", name)
-            results.extend(_SUITE_FNS[name](market, samples, seed))
+            start = time.perf_counter()
+            checks = _SUITE_FNS[name](market, samples, seed)
+            if logging_info:
+                log.info("suite %s: checks=%d failed=%d wall_s=%.3f", name, len(checks),
+                         sum(not c.ok for c in checks), time.perf_counter() - start)
+            results.extend(checks)
     return results

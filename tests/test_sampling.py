@@ -14,7 +14,11 @@ from marketclear import (
     sample_nested_errors,
     standard_gumbel,
 )
-from marketclear.sampling import BATCH_SIZE
+from marketclear.sampling import BATCH_SIZE, _log_stable
+from marketclear.specio import load_market
+from marketclear.verify import VARIANCE_TOL
+
+from conftest import SPEC_DIR
 
 EULER_GAMMA = 0.5772156649015329
 GUMBEL_VAR = math.pi**2 / 6.0
@@ -60,6 +64,54 @@ class TestPositiveStable:
         with pytest.raises(DomainError):
             positive_stable(alpha, np.random.default_rng(0))
 
+    def test_seed_regression(self):
+        # recorded with the direct (non-logarithmic) Kanter formula
+        s = positive_stable(0.5, np.random.default_rng(42))
+        assert s == pytest.approx(2.51166647712993, rel=1e-14)
+
+    def test_tuple_size_draws_the_flat_stream(self):
+        s = positive_stable(0.7, np.random.default_rng(5), (3, 4))
+        assert s.shape == (3, 4)
+        np.testing.assert_array_equal(
+            s.ravel(), positive_stable(0.7, np.random.default_rng(5), 12))
+
+
+def _direct_stable(alpha, u_phi, u_w):
+    """S of the Kanter formula evaluated as written, with sines and powers."""
+    phi = np.pi * u_phi
+    w = -np.log(u_w)
+    return (
+        np.sin(alpha * phi)
+        / np.sin(phi) ** (1.0 / alpha)
+        * (np.sin((1.0 - alpha) * phi) / w) ** ((1.0 - alpha) / alpha)
+    )
+
+
+class TestLogStable:
+    """The log-domain draw against the log of the direct formula, on
+    uniforms at both ends of (0, 1) and in between."""
+
+    K = np.concatenate([
+        np.arange(1, 2001),
+        (1 << 53) - np.arange(1, 2001),
+        np.random.default_rng(0).integers(1, 1 << 53, 4000),
+    ])
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.6036386071663626, 0.9,
+                                       0.9964002267475143, 0.999])
+    def test_matches_log_of_direct_formula(self, alpha):
+        u = self.K * 2.0**-53
+        u_phi = np.concatenate([u, u, np.random.default_rng(1).permutation(u)])
+        u_w = np.concatenate([u, np.random.default_rng(2).permutation(u), u[::-1]])
+        with np.errstate(all="ignore"):
+            direct = np.log(_direct_stable(alpha, u_phi, u_w))
+        ln_s = _log_stable(alpha, u_phi.copy(), u_w.copy())
+        ok = np.isfinite(direct)
+        assert ok.sum() > 0.9 * ok.size
+        assert np.all(np.isfinite(ln_s))
+        err = np.abs(ln_s[ok] - direct[ok])
+        assert np.all(err <= 1e-13 * (1.0 + np.abs(direct[ok])))
+
 
 class TestNestedErrors:
     def test_symmetric_multinomial_argmax(self):
@@ -77,6 +129,16 @@ class TestNestedErrors:
         ns = NestStructure(5, ((0, 1, 2), (3, 4)), (0.4, 1.0))
         cov = empirical_error_covariance(ns, 10**6, seed=9)
         np.testing.assert_allclose(np.diag(cov), GUMBEL_VAR, atol=0.02)
+
+    @pytest.mark.parametrize("mu", [1e-2, 1e-3, 1e-5])
+    def test_small_mu_stays_finite(self, mu):
+        # ln S is computed in logs, so S under- or overflowing does not
+        # reach the errors
+        ns = NestStructure(3, ((0, 1), (2,)), (mu, 1.0))
+        eps = sample_nested_errors(ns, np.random.default_rng(0), BATCH_SIZE)
+        assert np.all(np.isfinite(eps))
+        cov = empirical_error_covariance(ns, 200_000, seed=0)
+        np.testing.assert_allclose(np.diag(cov), GUMBEL_VAR, atol=VARIANCE_TOL)
 
     def test_single_draw_shape(self):
         ns = NestStructure(4, ((0, 1), (2, 3)), (0.5, 0.9))
@@ -145,6 +207,44 @@ class TestGoldenStreams:
             [1.2314291711918965, 1.6437784074797752, 0.004942221011899839],
             [0.003986758189632678, 0.004942221011899839, 1.6496295806825467],
         ], rtol=1e-13, atol=0)
+
+
+class TestGoldenStreamsSeveralNests:
+    """Golden values for non-contiguous nests, two of them with mu < 1
+    (consumer type 0 of market_n6.json), recorded with the direct Kanter
+    formula before the log-domain draw replaced it."""
+
+    SAMPLES = 3 * BATCH_SIZE + 17
+
+    @pytest.fixture(scope="class")
+    def consumer(self):
+        ct = load_market(str(SPEC_DIR / "market_n6.json")).consumers[0]
+        assert ct.nests.nests == ((2, 3), (0, 1, 4), (5,))
+        return ct
+
+    def test_choice_frequencies(self, consumer):
+        freq = monte_carlo_choice_frequencies(consumer.nests, consumer.a, self.SAMPLES, seed=11)
+        np.testing.assert_array_equal(
+            freq, np.array([73474, 45475, 3421, 5647, 66556, 2052]) / self.SAMPLES)
+
+    def test_error_covariance(self, consumer):
+        cov = empirical_error_covariance(consumer.nests, self.SAMPLES, seed=11)
+        # the log-domain draw moves each error by a few ulps; cross-nest
+        # entries near 6e-4 then differ by about 4e-16, hence the atol
+        np.testing.assert_allclose(cov, [
+            [1.640490572329595, 0.006632038872527557, 0.003186944496197497,
+             0.004874754025575689, 0.01833845905544984, 0.0006591139135039281],
+            [0.006632038872527557, 1.6547208388360903, -0.006129320078973488,
+             -0.004892938997523022, 0.008797329807918919, -0.002998498710391151],
+            [0.003186944496197497, -0.006129320078973488, 1.6460350727937363,
+             1.0467037428412298, 0.0025014940284264764, -0.0014835750390121971],
+            [0.004874754025575689, -0.004892938997523022, 1.0467037428412298,
+             1.6465590610412, -0.0005656676564189667, -0.0006621472164581865],
+            [0.01833845905544984, 0.008797329807918919, 0.0025014940284264764,
+             -0.0005656676564189667, 1.6344668140086307, 0.003110964475103284],
+            [0.0006591139135039281, -0.002998498710391151, -0.0014835750390121971,
+             -0.0006621472164581865, 0.003110964475103284, 1.6269450460852841],
+        ], rtol=1e-13, atol=1e-14)
 
 
 class TestErrorCorrelation:

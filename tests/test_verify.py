@@ -1,0 +1,137 @@
+import json
+import logging
+
+import numpy as np
+import pytest
+
+from marketclear import Market, sampling, specio, verify
+
+from conftest import SPEC_DIR
+
+
+@pytest.fixture(scope="module")
+def market_n6():
+    return specio.load_market(str(SPEC_DIR / "market_n6.json"))
+
+
+def _target_covariance(ns):
+    """Covariance with exactly the claimed structure: Gumbel variance on the
+    diagonal, correlation 1 - mu^2 inside a nest and 0 across nests."""
+    corr = np.eye(ns.n)
+    for nest, mu in zip(ns.nests, ns.mu):
+        for a in nest:
+            for b in nest:
+                if a != b:
+                    corr[a, b] = 1.0 - mu**2
+    return verify.GUMBEL_VARIANCE * corr
+
+
+def _by_name(results):
+    return {r.name: r for r in results}
+
+
+class TestCorrelationSuite:
+    """Consumer type 0 of market_n6.json has nests (2, 3), (0, 1, 4), (5,)."""
+
+    def _run(self, market, monkeypatch, pair=None):
+        def covariance(ns, samples, seed):
+            cov = _target_covariance(ns)
+            if pair is not None and ns is market.consumers[0].nests:
+                cov[pair] = cov[pair[::-1]] = np.nan
+            return cov
+
+        monkeypatch.setattr(sampling, "empirical_error_covariance", covariance)
+        return _by_name(verify.suite_correlation(market, 10, 0))
+
+    def test_exact_structure_passes(self, market_n6, monkeypatch):
+        results = self._run(market_n6, monkeypatch)
+        assert all(r.ok for r in results.values())
+
+    def test_deviations_match_pairwise_loop(self, market_n6, monkeypatch):
+        rng = np.random.default_rng(3)
+        covs = {}
+
+        def covariance(ns, samples, seed):
+            x = rng.standard_normal((50, ns.n))
+            covs[ns] = x.T @ x / 50
+            return covs[ns]
+
+        monkeypatch.setattr(sampling, "empirical_error_covariance", covariance)
+        results = _by_name(verify.suite_correlation(market_n6, 10, 0))
+        for j, ct in enumerate(market_n6.consumers):
+            ns = ct.nests
+            corr = sampling.correlation_from_covariance(covs[ns])
+            nest_of = {i: l for l, nest in enumerate(ns.nests) for i in nest}
+            within, cross = [], []
+            for a in range(ns.n):
+                for b in range(a + 1, ns.n):
+                    if nest_of[a] == nest_of[b]:
+                        within.append(abs(corr[a, b] - (1.0 - ns.mu[nest_of[a]] ** 2)))
+                    else:
+                        cross.append(abs(corr[a, b]))
+            assert results[f"consumer[{j}] within-nest corr dev"].value == max(within)
+            if cross:
+                assert results[f"consumer[{j}] cross-nest corr"].value == max(cross)
+
+    def test_nan_within_nest_fails(self, market_n6, monkeypatch):
+        results = self._run(market_n6, monkeypatch, pair=(0, 4))
+        assert np.isnan(results["consumer[0] within-nest corr dev"].value)
+        assert not results["consumer[0] within-nest corr dev"].ok
+        assert results["consumer[0] cross-nest corr"].ok
+
+    def test_nan_cross_nest_fails(self, market_n6, monkeypatch):
+        results = self._run(market_n6, monkeypatch, pair=(1, 5))
+        assert np.isnan(results["consumer[0] cross-nest corr"].value)
+        assert not results["consumer[0] cross-nest corr"].ok
+        assert results["consumer[0] within-nest corr dev"].ok
+
+    def test_small_mu_market_passes(self):
+        # mu = 0.01 used to overflow the stable draw into non-finite errors
+        doc = json.loads((SPEC_DIR / "market_n6.json").read_text())
+        doc["consumers"][0]["nests"][0]["mu"] = 0.01
+        market = specio.market_from_document(doc)
+        results = verify.run_suites(("correlation",), market, 10**6, 0)
+        assert len(results) == 5
+        assert all(r.ok for r in results), [(r.name, r.value) for r in results if not r.ok]
+
+
+class TestGradientSuite:
+    def test_nan_excess_supply_fails(self, market_n6, monkeypatch):
+        original = Market.ter_gradient
+        calls = []
+
+        def ter_gradient(self, p):
+            calls.append(1)
+            z = original(self, p)
+            return np.full_like(z, np.nan) if len(calls) == 7 else z
+
+        monkeypatch.setattr(Market, "ter_gradient", ter_gradient)
+        results = _by_name(verify.suite_gradient(market_n6, 0, 0))
+        assert len(calls) == 20
+        assert np.isnan(results["market excess supply"].value)
+        assert not results["market excess supply"].ok
+        assert results["consumer[0] surplus gradient"].ok
+
+    def test_nan_surplus_gradient_fails(self, market_n6, monkeypatch):
+        original = verify.gradient_error
+        calls = []
+
+        def gradient_error(ns, v):
+            calls.append(1)
+            return np.nan if len(calls) == 3 else original(ns, v)
+
+        monkeypatch.setattr(verify, "gradient_error", gradient_error)
+        results = _by_name(verify.suite_gradient(market_n6, 0, 0))
+        assert not results["consumer[0] surplus gradient"].ok
+        assert results["consumer[1] surplus gradient"].ok
+        assert results["market excess supply"].ok
+
+
+def test_run_suites_logs_one_line_per_suite(market_n6, caplog):
+    with caplog.at_level(logging.INFO, logger="marketclear.verify"):
+        results = verify.run_suites(("duality", "gradient"), market_n6, 1000, 0)
+    lines = [r.getMessage() for r in caplog.records if r.name == "marketclear.verify"]
+    assert len(lines) == 2
+    assert lines[0].startswith("suite gradient: checks=3 failed=0 wall_s=")
+    assert lines[1].startswith("suite duality: checks=2 failed=0 wall_s=")
+    assert len(results) == 5
