@@ -12,20 +12,12 @@ usually much steeper.
 import argparse
 import time
 
-import numpy as np
-
 from marketclear import specio
 from marketclear.solvers import RateFitError, SolverConfig, fit_rate, reference_solve, solve
 
 
 def run_market(seed):
-    srng = np.random.default_rng(1000 + seed)
-    n = int(srng.integers(6, 21))
-    n_types = int(srng.integers(1, 6))
-    n_sup = int(srng.integers(1, 6))
-    market = specio.market_from_document(
-        specio.generate_market(n, n_types, n_sup, seed=seed)
-    )
+    market = specio.market_from_document(specio.batch_market(seed))
     ref = reference_solve(market)
     ter_star = market.ter(ref.price)
     basic = solve(market, SolverConfig(scheme="basic"))
@@ -37,7 +29,8 @@ def run_market(seed):
         except RateFitError:
             return "     n/a"
 
-    return (n, n_types, n_sup, market.smoothness_constant(),
+    return (market.n, len(market.consumers), len(market.suppliers),
+            market.smoothness_constant(),
             basic.iterations, accel.iterations, slope(basic), slope(accel))
 
 

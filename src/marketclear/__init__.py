@@ -41,7 +41,6 @@ from .solvers import (
     gamma_next,
     reference_solve,
     solve,
-    step_basic,
 )
 from .supply import Supplier, best_response, profit, total_cost
 
@@ -75,7 +74,6 @@ __all__ = [
     "gamma_next",
     "reference_solve",
     "solve",
-    "step_basic",
     "Supplier",
     "best_response",
     "profit",

@@ -19,6 +19,7 @@ import numpy as np
 from . import specio, verify
 from .nested_logit import DomainError, StructureError
 from .solvers import (
+    SCHEMES,
     ConfigError,
     DivergedError,
     RateFitError,
@@ -159,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     slv = sub.add_parser("solve", help="compute equilibrium prices")
     slv.add_argument("--market", required=True, help="market spec file")
-    slv.add_argument("--scheme", choices=("basic", "accelerated"), default="basic")
+    slv.add_argument("--scheme", choices=SCHEMES, default="basic")
     slv.add_argument("--step", type=float, default=None,
                      help="step size; must not exceed 1/smoothness constant")
     slv.add_argument("--max-iters", type=int, default=SolverConfig().max_iters)

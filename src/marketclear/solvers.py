@@ -1,15 +1,19 @@
 """First-order pricing schemes over the nonnegative orthant.
 
-Two schemes minimize the market potential: plain projected gradient
+Both schemes minimize the market potential from the start p_0 by one
+projected gradient step, taken at an extrapolated point,
 
-    p_{t+1} = [p_t - h * z(p_t)]_+,
+    p_{t+1} = [q_t - h * z(q_t)]_+,   q_t = p_t + b_t (p_t - p_{t-1}),
 
-and its accelerated variant, which takes the gradient step at an
-extrapolated point q_t and then applies momentum
+and differ only in their momentum b_t: 0 for plain projected gradient
+(basic), and for the accelerated scheme b_0 = 0 and
 
-    p_{t+1} = [q_t - h * z(q_t)]_+,
-    g_{t+1} = (1 + sqrt(1 + 4 g_t^2)) / 2,
-    q_{t+1} = p_{t+1} + ((g_t - 1) / g_{t+1}) (p_{t+1} - p_t).
+    b_t = (g_t - 1) / g_{t+1},   g_1 = 1,   g_{t+1} = (1 + sqrt(1 + 4 g_t^2)) / 2,
+
+so b_1 = 0 as well. `solve` runs one loop for both: a zero momentum
+reuses z(p_t) from the previous iteration, any other calls the oracle
+at q_t. T iterations make T + 1 oracle calls under basic and 2T - 1
+(T >= 2) under accelerated; the closing log line reports the count.
 
 The extrapolated points q_t may leave the orthant; the potential and
 its gradient extend smoothly to all of R^n, so they are evaluated there
@@ -37,9 +41,11 @@ search moving once the potential's decrease falls below rounding.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,12 +109,12 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if self.step is not None and self.step <= 0:
+        if self.step is not None and not self.step > 0:
             raise ConfigError(f"step size must be positive, got {self.step}")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol < 0:
-            raise ConfigError(f"tolerance must be >= 0, got {self.tol}")
+        if not 0 <= self.tol < math.inf:
+            raise ConfigError(f"tolerance must be finite and >= 0, got {self.tol}")
 
 
 @dataclass
@@ -139,14 +145,19 @@ class Trace:
         return np.arange(1, len(self.ter) + 1)
 
 
-def step_basic(market: Market, p: np.ndarray, h: float) -> np.ndarray:
-    """One projected-gradient price update [p - h z(p)]_+."""
-    return np.maximum(p - h * market.ter_gradient(p), 0.0)
-
-
 def gamma_next(gamma_t: float) -> float:
     """Momentum parameter update (1 + sqrt(1 + 4 g^2)) / 2."""
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * gamma_t * gamma_t))
+
+
+def _nesterov_momentum() -> Iterator[float]:
+    """The accelerated scheme's momentum b_0, b_1, ... (module docstring)."""
+    yield 0.0
+    gamma = 1.0
+    while True:
+        gamma_n = gamma_next(gamma)
+        yield (gamma - 1.0) / gamma_n
+        gamma = gamma_n
 
 
 def _require_productive(market: Market) -> None:
@@ -208,18 +219,9 @@ class _Recorder:
         return residual
 
     def finish(self, scheme: str, price: np.ndarray, converged: bool) -> Trace:
-        cols = np.array(self.rows).reshape(len(self.rows), 5)
-        return Trace(
-            scheme=scheme,
-            step=self.h,
-            ter=cols[:, 0].copy(),
-            grad_norm=cols[:, 1].copy(),
-            min_excess=cols[:, 2].copy(),
-            complementarity=cols[:, 3].copy(),
-            steps=cols[:, 4].copy(),
-            price=price.copy(),
-            converged=converged,
-        )
+        # columns in row order: ter, grad_norm, min_excess, complementarity, steps
+        cols = np.array(self.rows).reshape(len(self.rows), 5).T
+        return Trace(scheme, self.h, *(c.copy() for c in cols), price.copy(), converged)
 
 
 def solve(market: Market, config: SolverConfig | None = None) -> Trace:
@@ -240,36 +242,30 @@ def solve(market: Market, config: SolverConfig | None = None) -> Trace:
     log.info("solve scheme=%s h=%g tol=%g max_iters=%d", config.scheme, h,
              config.tol, config.max_iters)
 
+    momentum = itertools.repeat(0.0) if config.scheme == "basic" else _nesterov_momentum()
     # p is checked by _initial_prices and every iterate by the recorder,
     # so the loop calls the market's unchecked oracle on one price vector
     oracle = market._flat.kernel
+    z = oracle(p, False, True)[1]
+    evals = 1
+    p_prev = p
     converged = False
-    if config.scheme == "basic":
-        z = oracle(p, False, True)[1]
-        for _ in range(config.max_iters):
-            p = np.maximum(p - h * z, 0.0)
-            value, z = oracle(p, True, True)
-            if rec.record(p, z, value) <= config.tol:
-                converged = True
-                break
-    else:
-        q = p.copy()
-        p_prev = p.copy()
-        gamma = 1.0
-        for _ in range(config.max_iters):
-            zq = oracle(q, False, True)[1]  # q may sit outside the orthant; z extends there
-            p = np.maximum(q - h * zq, 0.0)
-            gamma_n = gamma_next(gamma)
-            q = p + ((gamma - 1.0) / gamma_n) * (p - p_prev)
-            gamma = gamma_n
-            p_prev = p
-            value, z = oracle(p, True, True)
-            if rec.record(p, z, value) <= config.tol:
-                converged = True
-                break
+    for beta in itertools.islice(momentum, config.max_iters):
+        if beta == 0.0:
+            q, zq = p, z
+        else:  # q may sit outside the orthant; z extends there
+            q = p + beta * (p - p_prev)
+            zq = oracle(q, False, True)[1]
+            evals += 1
+        p_prev = p
+        p = np.maximum(q - h * zq, 0.0)
+        value, z = oracle(p, True, True)
+        evals += 1
+        if rec.record(p, z, value) <= config.tol:
+            converged = True
+            break
 
     trace = rec.finish(config.scheme, p, converged)
-    evals = trace.iterations + 1 if config.scheme == "basic" else 2 * trace.iterations
     log.info("solve done: iters=%d converged=%s residual=%.3e oracle_evals=%d wall_s=%.3f",
              trace.iterations, converged, trace.grad_norm[-1], evals,
              time.perf_counter() - start)

@@ -206,19 +206,14 @@ def save_document(doc: dict, path: str) -> None:
 # scenario generation
 
 
-def random_nest_structure(
-    n: int,
-    rng: np.random.Generator,
-    max_nests: int = 4,
-    mu_range: tuple[float, float] = (0.2, 1.0),
-    unit_mu_prob: float = 0.25,
-) -> NestStructure:
-    """Random partition of n alternatives with scales in mu_range.
+def random_nest_structure(n: int, rng: np.random.Generator) -> NestStructure:
+    """Random partition of n alternatives into at most 4 nests with
+    scales in [0.2, 1].
 
-    Each nest's mu is set exactly to 1.0 with probability unit_mu_prob
-    so the multinomial branch stays exercised.
+    Each nest's mu is set exactly to 1.0 with probability 1/4 so the
+    multinomial branch stays exercised.
     """
-    n_nests = int(rng.integers(1, min(max_nests, n) + 1))
+    n_nests = int(rng.integers(1, min(4, n) + 1))
     perm = rng.permutation(n)
     if n_nests > 1:
         cuts = np.sort(rng.choice(np.arange(1, n), size=n_nests - 1, replace=False))
@@ -227,10 +222,10 @@ def random_nest_structure(
     pieces = np.split(perm, cuts)
     mus = []
     for _ in range(n_nests):
-        if rng.random() < unit_mu_prob:
+        if rng.random() < 0.25:
             mus.append(1.0)
         else:
-            mus.append(float(rng.uniform(*mu_range)))
+            mus.append(float(rng.uniform(0.2, 1.0)))
     return NestStructure(n, tuple(tuple(int(i) for i in piece) for piece in pieces),
                          tuple(mus))
 
@@ -269,6 +264,15 @@ def generate_market(n: int, n_consumers: int, n_suppliers: int, seed: int) -> di
         )
     market = Market(n=n, consumers=tuple(consumers), suppliers=tuple(suppliers))
     return market_to_document(market)
+
+
+def batch_market(slot: int) -> dict:
+    """Spec document of the acceptance-batch market at slot: generated
+    with seed slot, its goods (6-20), consumer types and suppliers (1-5
+    each) drawn from default_rng(1000 + slot)."""
+    dims = np.random.default_rng(1000 + slot)
+    n, j, k = (int(dims.integers(lo, hi)) for lo, hi in ((6, 21), (1, 6), (1, 6)))
+    return generate_market(n, j, k, seed=slot)
 
 
 # ---------------------------------------------------------------------------

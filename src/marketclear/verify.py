@@ -34,6 +34,7 @@ SUITES = ("gradient", "duality", "smoothness", "montecarlo", "correlation", "bou
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-6
+SMOOTHNESS_PAIRS = 10_000  # random point pairs per smoothness audit
 FENCHEL_TOL = 1e-9
 # midpoint inequalities hold exactly in real arithmetic; allow rounding
 # noise (degenerate pairs evaluate both sides to within a few ulps)
@@ -66,15 +67,15 @@ def _check(suite: str, name: str, value: float, bound: float,
     return CheckResult(suite, name, float(value), float(bound), bool(ok), relation)
 
 
-def fd_gradient(f, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
+def fd_gradient(f, x: np.ndarray) -> np.ndarray:
     """Central finite differences of a scalar function, one column per call."""
     x = np.asarray(x, dtype=float)
     shifts = np.zeros((2 * x.size,) + x.shape)
     for i in range(x.size):
-        shifts[2 * i, i] = step
-        shifts[2 * i + 1, i] = -step
+        shifts[2 * i, i] = FD_STEP
+        shifts[2 * i + 1, i] = -FD_STEP
     vals = f(x + shifts)
-    return (vals[0::2] - vals[1::2]) / (2.0 * step)
+    return (vals[0::2] - vals[1::2]) / (2.0 * FD_STEP)
 
 
 def gradient_error(ns: NestStructure, v: np.ndarray) -> float:
@@ -124,13 +125,12 @@ def _smoothness_ratio(ns: NestStructure, v: np.ndarray, vbar: np.ndarray) -> flo
     return float(np.max(dq / (b * dv)))
 
 
-def _convexity_violation(ns: NestStructure, rng: np.random.Generator,
-                         pairs: int) -> float:
+def _convexity_violation(ns: NestStructure, rng: np.random.Generator) -> float:
     """Largest violation of the strong-convexity midpoint inequality of E*."""
     beta = smoothness_moduli(ns).strong_convexity
-    q = rng.dirichlet(np.ones(ns.n), size=pairs)
-    qbar = rng.dirichlet(np.ones(ns.n), size=pairs)
-    lam = rng.uniform(0.0, 1.0, pairs)
+    q = rng.dirichlet(np.ones(ns.n), size=SMOOTHNESS_PAIRS)
+    qbar = rng.dirichlet(np.ones(ns.n), size=SMOOTHNESS_PAIRS)
+    lam = rng.uniform(0.0, 1.0, SMOOTHNESS_PAIRS)
     mix = lam[:, None] * q + (1.0 - lam[:, None]) * qbar
     lhs = conjugate(ns, mix)
     rhs = (
@@ -141,26 +141,25 @@ def _convexity_violation(ns: NestStructure, rng: np.random.Generator,
     return float(np.max(lhs - rhs))
 
 
-def suite_smoothness(market: Market, samples: int, seed: int,
-                     pairs: int = 10_000) -> list[CheckResult]:
+def suite_smoothness(market: Market, samples: int, seed: int) -> list[CheckResult]:
     """Gradient Lipschitz bounds and conjugate strong convexity, by audit."""
     rng = np.random.default_rng(seed)
     results = []
     for j, ct in enumerate(market.consumers):
-        v = rng.uniform(-5.0, 5.0, (pairs, market.n))
-        vbar = rng.uniform(-5.0, 5.0, (pairs, market.n))
+        v = rng.uniform(-5.0, 5.0, (SMOOTHNESS_PAIRS, market.n))
+        vbar = rng.uniform(-5.0, 5.0, (SMOOTHNESS_PAIRS, market.n))
         ratio = _smoothness_ratio(ct.nests, v, vbar)
         results.append(
             _check("smoothness", f"consumer[{j}] gradient lipschitz ratio", ratio, 1.0)
         )
-        violation = _convexity_violation(ct.nests, rng, pairs)
+        violation = _convexity_violation(ct.nests, rng)
         results.append(
             _check("smoothness", f"consumer[{j}] conjugate convexity violation",
                    violation, ROUNDING_SLACK)
         )
     lip = market.smoothness_constant()
-    p = rng.uniform(0.0, 5.0, (pairs, market.n))
-    pbar = rng.uniform(0.0, 5.0, (pairs, market.n))
+    p = rng.uniform(0.0, 5.0, (SMOOTHNESS_PAIRS, market.n))
+    pbar = rng.uniform(0.0, 5.0, (SMOOTHNESS_PAIRS, market.n))
     dz = np.linalg.norm(market.ter_gradient(p) - market.ter_gradient(pbar), axis=-1)
     dp = np.linalg.norm(p - pbar, axis=-1)
     ratio = float(np.max(dz / (lip * dp)))

@@ -25,11 +25,11 @@ def json_path(keys) -> str:
     return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
 
 
-def random_instance(seed, max_n=12, max_nests=4, v_bound=5.0):
+def random_instance(seed, max_n=12, v_bound=5.0):
     """Random (nest structure, utility vector) pair, deterministic per seed."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, max_n + 1))
-    ns = specio.random_nest_structure(n, rng, max_nests=max_nests)
+    ns = specio.random_nest_structure(n, rng)
     v = rng.uniform(-v_bound, v_bound, n)
     return ns, v
 

@@ -53,11 +53,7 @@ def market_batch():
     t0 = time.monotonic()
     entries = []
     for seed in BATCH_SEEDS:
-        srng = np.random.default_rng(1000 + seed)
-        n = int(srng.integers(6, 21))
-        j = int(srng.integers(1, 6))
-        k = int(srng.integers(1, 6))
-        m = specio.market_from_document(specio.generate_market(n, j, k, seed=seed))
+        m = specio.market_from_document(specio.batch_market(seed))
         ref = reference_solve(m)
         assert ref.converged
         entries.append(

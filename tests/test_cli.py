@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from marketclear import specio
-from marketclear.solvers import Trace
+from marketclear.solvers import SCHEMES, Trace
 
 from conftest import PYTHON, SPEC_DIR, json_path, set_leaf
 
@@ -66,6 +66,22 @@ class TestSolve:
         r = run_cli("solve", "--market", SINGLE_GOOD, "--step", "0.5")
         assert r.returncode == 1
         assert "smoothness" in r.stderr
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tol", "nan", "tolerance"), ("--tol", "inf", "tolerance"),
+        ("--tol", "-1e-8", "tolerance"), ("--step", "nan", "step size"),
+    ])
+    def test_bad_tol_or_step_is_a_config_error(self, flag, value, message):
+        r = run_cli("solve", "--market", SINGLE_GOOD, f"{flag}={value}")
+        assert r.returncode == 1
+        assert r.stderr.startswith(f"error: {message}")
+        assert "Traceback" not in r.stderr
+
+    def test_scheme_choices_are_the_solver_schemes(self):
+        r = run_cli("solve", "--help")
+        assert "{" + ",".join(SCHEMES) + "}" in r.stdout
+        r = run_cli("solve", "--market", SINGLE_GOOD, "--scheme", "newton")
+        assert r.returncode == 2 and "invalid choice" in r.stderr
 
     def test_missing_file(self):
         r = run_cli("solve", "--market", "no_such_file.json")

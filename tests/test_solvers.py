@@ -21,7 +21,6 @@ from marketclear.solvers import (
     gamma_next,
     reference_solve,
     solve,
-    step_basic,
 )
 
 from conftest import SPEC_DIR
@@ -33,10 +32,15 @@ def small_market(seed, n=5):
     return specio.market_from_document(specio.generate_market(n, 2, 2, seed=seed))
 
 
+def one_basic_step(market, p, h):
+    """p after one iteration of the basic scheme at step h: [p - h z(p)]_+."""
+    return solve(market, SolverConfig(scheme="basic", step=h, p0=p, max_iters=1)).price
+
+
 class TestStepBasic:
     def test_fixed_point_at_equilibrium(self, single_good_market):
         p = np.array([3.0])
-        np.testing.assert_allclose(step_basic(single_good_market, p, 0.2), p, atol=1e-12)
+        np.testing.assert_allclose(one_basic_step(single_good_market, p, 0.2), p, atol=1e-12)
 
     def test_projection_absorbs_excess_supply(self, single_good_market):
         # at p = 0 supply still undercuts demand here, so build a flooded market
@@ -46,7 +50,7 @@ class TestStepBasic:
         m = mc.Market(n=1, consumers=(ct,), suppliers=(s,))
         z0 = m.ter_gradient([0.0])
         assert np.all(z0 >= 0)
-        np.testing.assert_array_equal(step_basic(m, np.zeros(1), 0.1), np.zeros(1))
+        np.testing.assert_array_equal(one_basic_step(m, np.zeros(1), 0.1), np.zeros(1))
 
     def test_monotone_approach_from_below(self, single_good_market):
         # scalar fixed-point iteration: p <- p - h (y(p) - 2) climbs to 3;
@@ -55,7 +59,7 @@ class TestStepBasic:
         p = np.zeros(1)
         values = [p[0]]
         for _ in range(200):
-            p = step_basic(single_good_market, p, 1.0 / 6.0)
+            p = one_basic_step(single_good_market, p, 1.0 / 6.0)
             values.append(p[0])
         diffs = np.diff(values)
         assert np.all(diffs >= 0)
@@ -108,6 +112,14 @@ class TestSolve:
             solve(single_good_market, SolverConfig(step=1.5 / lip))
         solve(single_good_market, SolverConfig(step=1.0 / lip))  # cap itself is fine
 
+    @pytest.mark.parametrize("field, value", [
+        ("tol", float("nan")), ("tol", float("inf")), ("tol", -1e-8),
+        ("step", float("nan")), ("step", 0.0), ("step", -0.1),
+    ])
+    def test_config_rejects_bad_tol_and_step(self, field, value):
+        with pytest.raises(ConfigError, match="tolerance" if field == "tol" else "step size"):
+            SolverConfig(**{field: value})
+
     def test_max_iters_cap(self, single_good_market):
         trace = solve(single_good_market, SolverConfig(max_iters=3))
         assert not trace.converged
@@ -125,7 +137,7 @@ class TestSolve:
     def test_fixed_point_once_converged(self, six_good_market):
         trace = solve(six_good_market, SolverConfig(scheme="basic", tol=1e-9))
         h = trace.step
-        moved = step_basic(six_good_market, trace.price, h) - trace.price
+        moved = one_basic_step(six_good_market, trace.price, h) - trace.price
         assert np.linalg.norm(moved) <= h * 1e-9 + 1e-12
 
     def test_schemes_agree(self):
@@ -171,14 +183,29 @@ class TestSolve:
             assert err.value.iteration == 1
 
     @pytest.mark.parametrize("scheme", ["basic", "accelerated"])
-    def test_done_line_reports_evaluations_and_wall_time(self, six_good_market, scheme, caplog):
+    def test_done_line_reports_evaluations_and_wall_time(self, six_good_market, scheme,
+                                                         caplog, monkeypatch):
+        from marketclear.market import _FlatMarket
+
+        kernel = _FlatMarket.kernel
+        calls = []
+
+        def counting(self, *args):
+            calls.append(1)
+            return kernel(self, *args)
+
+        monkeypatch.setattr(_FlatMarket, "kernel", counting)
         with caplog.at_level(logging.INFO, logger="marketclear.solvers"):
             trace = solve(six_good_market, SolverConfig(scheme=scheme))
         done = [r.getMessage() for r in caplog.records if "solve done" in r.getMessage()]
         assert len(done) == 1
-        evals = trace.iterations + 1 if scheme == "basic" else 2 * trace.iterations
-        assert f"iters={trace.iterations} " in done[0]
-        assert f" oracle_evals={evals} " in done[0]
+        t = trace.iterations
+        assert trace.converged and t >= 2
+        # basic reuses z(p_t) at every step; accelerated at its first two,
+        # where the momentum is zero
+        assert len(calls) == (t + 1 if scheme == "basic" else 2 * t - 1)
+        assert f"iters={t} " in done[0]
+        assert f" oracle_evals={len(calls)} " in done[0]
         wall = float(done[0].split("wall_s=")[1])
         assert 0.0 < wall < 60.0
 
@@ -259,13 +286,6 @@ class TestRateFit:
         assert fit_rate(accel, ter_star) <= -1.75
 
 
-def batch_market(slot):
-    """Market of the acceptance batch (tests/test_acceptance.py) at slot."""
-    srng = np.random.default_rng(1000 + slot)
-    n, j, k = (int(srng.integers(lo, hi)) for lo, hi in ((6, 21), (1, 6), (1, 6)))
-    return specio.market_from_document(specio.generate_market(n, j, k, seed=slot))
-
-
 def _raise(*args, **kwargs):
     raise AssertionError("reference_solve must not run a pricing scheme")
 
@@ -273,7 +293,6 @@ def _raise(*args, **kwargs):
 class TestReferenceSolve:
     def test_independent_of_pricing_schemes(self, monkeypatch, six_good_market):
         monkeypatch.setattr(solvers, "solve", _raise)
-        monkeypatch.setattr(solvers, "step_basic", _raise)
         monkeypatch.setattr(solvers, "gamma_next", _raise)
         ref = reference_solve(six_good_market)
         assert ref.converged
@@ -312,7 +331,7 @@ class TestReferenceSolve:
     def test_singular_hessian_at_start(self):
         # one consumer type, and at p = 0 every supplier is clipped at its
         # lower bound: the potential's Hessian there is singular
-        m = batch_market(9)
+        m = specio.market_from_document(specio.batch_market(9))
         assert len(m.consumers) == 1
         assert np.linalg.eigvalsh(solvers._fd_hessian(m, np.zeros(m.n)))[0] < 1e-8
         ref = reference_solve(m)

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+import sys
 import warnings
 
 import hypothesis.strategies as st
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 
 from marketclear import SolverConfig, Trace, UnproductiveMarketError, solve, specio
 
-from conftest import SPEC_DIR, json_path, set_leaf
+from conftest import REPO_ROOT, SPEC_DIR, json_path, set_leaf
 
 CODES = {specio.CODE_MALFORMED, specio.CODE_PARTITION, specio.CODE_MU_RANGE,
          specio.CODE_GAMMA, specio.CODE_BOUNDS, specio.CODE_NON_FINITE}
@@ -204,6 +206,18 @@ class TestRoundTrip:
             i for nest in doc["consumers"][0]["nests"] for i in nest["members"]
         )
         assert members == [1, 2, 3]
+
+    def test_batch_market_matches_the_benchmark_copy(self, monkeypatch):
+        # perfbench keeps its own copy, so the benchmark also runs on
+        # commits without specio.batch_market; both give the same documents
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        for slot in range(20):
+            expected = specio.generate_market(*workloads.batch_dims(slot), seed=slot)
+            assert specio.batch_market(slot) == expected, slot
 
 
 class TestTraceFiles:
