@@ -14,8 +14,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import specio, verify
 from .nested_logit import DomainError, StructureError
 from .solvers import (
@@ -63,13 +61,10 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _load_p0(path: str) -> np.ndarray:
+def _load_p0(path: str):
+    """The JSON document of a --p0 file; the solver converts and checks it."""
     with open(path, "r", encoding="utf-8") as f:
-        raw = json.load(f)
-    try:
-        return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"initial prices must be a numeric array: {exc}") from exc
+        return json.load(f)
 
 
 def _cmd_solve(args) -> int:
@@ -112,6 +107,8 @@ def _cmd_verify(args) -> int:
                      f"{', '.join(verify.SUITES)} or all")
     if args.samples < 1:
         return _fail(f"--samples must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        return _fail("--seed must be >= 0")
     try:
         market = specio.load_market(args.market)
         results = verify.run_suites(names, market, args.samples, args.seed)

@@ -23,10 +23,11 @@ would contaminate rate diagnostics.
 The audits of these schemes need the optimum TER* from a solver that
 runs neither of them. `reference_solve` is a damped projected
 Newton method (Bertsekas 1982) on the box p >= 0. Each iteration takes
-the Hessian of the potential by central differences of the analytic
-excess supply (one batched oracle call on 2n shifted rows), splits the
-goods into an epsilon-active set {p_i <= min(1e-3, r), z_i > 0} and a
-free set, where r is the natural-map residual, and moves along
+the Hessian of the potential as `fd_gradient` of the analytic excess
+supply (central differences with step FD_STEP = 1e-5, one batched
+oracle call on 2n shifted rows), splits the goods into an
+epsilon-active set {p_i <= min(1e-3, r), z_i > 0} and a free set,
+where r is the natural-map residual, and moves along
 
     p(a) = [p + a d]_+,   d_free = -(H_free + lam I)^{-1} z_free,
                           d_active = -z_active / (diag H + lam)_active,
@@ -44,6 +45,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import numbers
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -62,7 +64,7 @@ DEFAULT_TOL = 1e-8
 # and rate audits.
 REFERENCE_TOL = 1e-12
 REFERENCE_MAX_ITERS = 100
-_HESSIAN_STEP = 1e-6  # central-difference step of the reference Hessian
+FD_STEP = 1e-5  # central-difference step of fd_gradient
 _ACTIVE_EPS = 1e-3  # upper cap of the epsilon-active set threshold
 _LEVENBERG_MAX = 1e-2  # upper cap of the Levenberg term
 _ARMIJO_SIGMA = 1e-4
@@ -111,8 +113,8 @@ class SolverConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         if self.step is not None and not self.step > 0:
             raise ConfigError(f"step size must be positive, got {self.step}")
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ConfigError(f"max_iters must be an integer >= 1, got {self.max_iters}")
         if not 0 <= self.tol < math.inf:
             raise ConfigError(f"tolerance must be finite and >= 0, got {self.tol}")
 
@@ -172,7 +174,10 @@ def _initial_prices(market: Market, p0: np.ndarray | None) -> np.ndarray:
     """The start prices, zero by default; the one check of a given p0."""
     if p0 is None:
         return np.zeros(market.n)
-    p = np.array(p0, dtype=float)
+    try:
+        p = np.array(p0, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"initial prices must be a numeric array: {exc}") from exc
     if np.any(p < 0) or not np.all(np.isfinite(p)):
         raise ConfigError("initial prices must be finite and nonnegative")
     if p.shape != (market.n,):
@@ -272,11 +277,19 @@ def solve(market: Market, config: SolverConfig | None = None) -> Trace:
     return trace
 
 
+def fd_gradient(f, x: np.ndarray) -> np.ndarray:
+    """Central finite differences of f, row i from x +- FD_STEP e_i; one call
+    of f on the 2n rows, interleaved (+, -, ...) as a row's rounding in a
+    batched call depends on its position."""
+    x = np.asarray(x, dtype=float)
+    shift = FD_STEP * np.eye(x.size)
+    vals = f(np.stack((x + shift, x - shift), axis=1).reshape(2 * x.size, x.size))
+    return (vals[0::2] - vals[1::2]) / (2.0 * FD_STEP)
+
+
 def _fd_hessian(market: Market, p: np.ndarray) -> np.ndarray:
-    """Symmetrised central-difference Jacobian of z, from one batched call."""
-    shift = _HESSIAN_STEP * np.eye(len(p))
-    z = market.ter_gradient(np.concatenate((p + shift, p - shift)))
-    jac = (z[: len(p)] - z[len(p):]) / (2.0 * _HESSIAN_STEP)
+    """Symmetrised central-difference Jacobian of z."""
+    jac = fd_gradient(market.ter_gradient, p)
     return 0.5 * (jac + jac.T)
 
 

@@ -16,9 +16,8 @@ the field's document path. Documents are serialized canonically
 (sorted keys, 2-space indent, full-precision floats) so that
 generate -> write -> parse -> write is byte-identical.
 
-Trace files are CSV with header iter,ter,grad_norm,min_excess,
-complementarity,step, one row per iteration at >= 15 significant
-digits, and a final comment line `# price = [..]`.
+Trace files are CSV with the header TRACE_HEADER, one row per iteration
+at 17 significant digits, and a final comment line `# price = [..]`.
 """
 
 from __future__ import annotations
@@ -279,6 +278,8 @@ def batch_market(slot: int) -> dict:
 # trace files
 
 TRACE_HEADER = "iter,ter,grad_norm,min_excess,complementarity,step"
+_ROW = np.dtype([(name, int if name == "iter" else float) for name in TRACE_HEADER.split(",")])
+_FLOAT = "%.16e"  # 17 significant digits: every float64 round-trips exactly
 
 
 @dataclass
@@ -294,57 +295,31 @@ class TraceTable:
     price: np.ndarray
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits: every float64 round-trips exactly
-    return f"{x:.16e}"
-
-
 def write_trace(trace, path: str) -> None:
     """Write a solver trace as CSV with the final price in a comment footer."""
+    rows = np.column_stack((trace.iters, trace.ter, trace.grad_norm, trace.min_excess,
+                            trace.complementarity, trace.steps))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(TRACE_HEADER + "\n")
-        for t in range(trace.iterations):
-            row = (t + 1, trace.ter[t], trace.grad_norm[t], trace.min_excess[t],
-                   trace.complementarity[t], trace.steps[t])
-            f.write(",".join([str(row[0])] + [_fmt(x) for x in row[1:]]) + "\n")
-        f.write("# price = [" + ", ".join(_fmt(x) for x in trace.price) + "]\n")
+        np.savetxt(f, rows, fmt=["%d"] + [_FLOAT] * 5, delimiter=",", header=TRACE_HEADER,
+                   footer=f"# price = [{', '.join(_FLOAT % x for x in trace.price)}]", comments="")
 
 
 def read_trace(path: str) -> TraceTable:
     """Read a trace file back; lossless for values written by write_trace."""
-    iters: list[int] = []
-    cols: list[list[float]] = [[], [], [], [], []]
-    price: np.ndarray | None = None
     with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
-        if header != TRACE_HEADER:
-            raise ValueError(f"unexpected trace header {header!r}")
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("price"):
-                    inner = body.split("=", 1)[1].strip().strip("[]")
-                    price = np.array(
-                        [float(x) for x in inner.split(",")] if inner else []
-                    )
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ValueError(f"malformed trace row: {line!r}")
-            iters.append(int(parts[0]))
-            for col, text in zip(cols, parts[1:]):
-                col.append(float(text))
+        header, *lines = f.read().split("\n")
+    if header != TRACE_HEADER:
+        raise ValueError(f"unexpected trace header {header!r}")
+    lines = [line.strip() for line in lines]
+    data = [line for line in lines if line and not line.startswith("#")]
+    rows = (np.loadtxt(data, _ROW, comments=None, delimiter=",", ndmin=1) if data
+            else np.empty(0, _ROW))
+    price = None
+    for line in lines:  # the footer is the last comment whose body starts with "price"
+        body = line.lstrip("#").strip()
+        if line.startswith("#") and body.startswith("price"):
+            inner = body.split("=", 1)[-1].strip().strip("[]")
+            price = np.array([float(x) for x in inner.split(",")] if inner else [])
     if price is None:
         raise ValueError("trace file has no price footer")
-    return TraceTable(
-        iter=np.array(iters, dtype=int),
-        ter=np.array(cols[0]),
-        grad_norm=np.array(cols[1]),
-        min_excess=np.array(cols[2]),
-        complementarity=np.array(cols[3]),
-        step=np.array(cols[4]),
-        price=price,
-    )
+    return TraceTable(*(rows[name] for name in _ROW.names), price=price)

@@ -5,6 +5,8 @@ the bound they must satisfy. Oracles are independent of the code paths
 they check: central finite differences for gradients, Monte Carlo for
 choice probabilities and correlations, and a projected Newton reference
 solve, which runs neither pricing scheme, for the convergence bounds.
+`fd_gradient` and its step FD_STEP live in `solvers`, whose reference
+solve takes its Hessian with them, and are imported here unchanged.
 """
 
 from __future__ import annotations
@@ -26,13 +28,12 @@ from .nested_logit import (
     smoothness_moduli,
     surplus,
 )
-from .solvers import REFERENCE_TOL, SolverConfig, reference_solve, solve
+from .solvers import FD_STEP, REFERENCE_TOL, SolverConfig, fd_gradient, reference_solve, solve
 
 log = logging.getLogger("marketclear.verify")
 
 SUITES = ("gradient", "duality", "smoothness", "montecarlo", "correlation", "bounds")
 
-FD_STEP = 1e-5
 FD_RTOL = 1e-6
 SMOOTHNESS_PAIRS = 10_000  # random point pairs per smoothness audit
 FENCHEL_TOL = 1e-9
@@ -65,17 +66,6 @@ def _check(suite: str, name: str, value: float, bound: float,
     else:
         ok = value <= bound
     return CheckResult(suite, name, float(value), float(bound), bool(ok), relation)
-
-
-def fd_gradient(f, x: np.ndarray) -> np.ndarray:
-    """Central finite differences of a scalar function, one column per call."""
-    x = np.asarray(x, dtype=float)
-    shifts = np.zeros((2 * x.size,) + x.shape)
-    for i in range(x.size):
-        shifts[2 * i, i] = FD_STEP
-        shifts[2 * i + 1, i] = -FD_STEP
-    vals = f(x + shifts)
-    return (vals[0::2] - vals[1::2]) / (2.0 * FD_STEP)
 
 
 def gradient_error(ns: NestStructure, v: np.ndarray) -> float:

@@ -128,6 +128,14 @@ class TestSolve:
         assert "initial prices have shape (2,), expected (1,)" in r.stderr
         assert "Traceback" not in r.stderr
 
+    def test_non_numeric_p0(self, tmp_path):
+        p0 = tmp_path / "p0.json"
+        p0.write_text('["a"]')
+        r = run_cli("solve", "--market", SINGLE_GOOD, "--p0", str(p0))
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: initial prices must be a numeric array")
+        assert "Traceback" not in r.stderr
+
     def test_summary_is_the_last_trace_row(self, tmp_path):
         trace_path = tmp_path / "run.csv"
         r = run_cli("solve", "--market", MARKET_N6, "--trace", str(trace_path))
@@ -171,6 +179,12 @@ class TestVerify:
         r = run_cli("verify", "--market", SINGLE_GOOD, "--suite", "nonsense")
         assert r.returncode == 1
         assert "unknown suite" in r.stderr
+
+    def test_negative_seed(self):
+        r = run_cli("verify", "--market", SINGLE_GOOD, "--suite", "gradient", "--seed", "-1")
+        assert r.returncode == 1
+        assert r.stderr == "error: --seed must be >= 0\n"
+        assert r.stdout == ""
 
     def test_gradient_suite_passes(self):
         r = run_cli("verify", "--market", SINGLE_GOOD, "--suite", "gradient")

@@ -115,10 +115,19 @@ class TestSolve:
     @pytest.mark.parametrize("field, value", [
         ("tol", float("nan")), ("tol", float("inf")), ("tol", -1e-8),
         ("step", float("nan")), ("step", 0.0), ("step", -0.1),
+        ("max_iters", 2.5), ("max_iters", float("nan")),
     ])
     def test_config_rejects_bad_tol_and_step(self, field, value):
-        with pytest.raises(ConfigError, match="tolerance" if field == "tol" else "step size"):
+        message = {"tol": "tolerance", "step": "step size", "max_iters": "max_iters"}[field]
+        with pytest.raises(ConfigError, match=message):
             SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("p0", [["a"], [[1.0, 2.0], [3.0]], {"a": 1}])
+    def test_non_numeric_p0_is_a_config_error(self, single_good_market, p0):
+        for run in (lambda: solve(single_good_market, SolverConfig(p0=p0)),
+                    lambda: reference_solve(single_good_market, p0=p0)):
+            with pytest.raises(ConfigError, match="initial prices must be a numeric array"):
+                run()
 
     def test_max_iters_cap(self, single_good_market):
         trace = solve(single_good_market, SolverConfig(max_iters=3))

@@ -17,6 +17,22 @@ CODES = {specio.CODE_MALFORMED, specio.CODE_PARTITION, specio.CODE_MU_RANGE,
          specio.CODE_GAMMA, specio.CODE_BOUNDS, specio.CODE_NON_FINITE}
 
 
+GOLDEN_TRACE = """\
+iter,ter,grad_norm,min_excess,complementarity,step
+1,1.0000000000000000e+00,1.0000000000000000e+00,-0.0000000000000000e+00,0.0000000000000000e+00,1.2500000000000000e-01
+2,1.0000000000000001e-01,5.0000000000000000e-01,-1.0000000000000000e+00,0.0000000000000000e+00,1.2500000000000000e-01
+3,nan,2.5000000000000000e-01,-2.0000000000000000e+00,0.0000000000000000e+00,1.2500000000000000e-01
+4,inf,1.2500000000000000e-01,-3.0000000000000000e+00,0.0000000000000000e+00,1.2500000000000000e-01
+5,-inf,6.2500000000000000e-02,-4.0000000000000000e+00,0.0000000000000000e+00,1.2500000000000000e-01
+6,-0.0000000000000000e+00,3.1250000000000000e-02,-5.0000000000000000e+00,0.0000000000000000e+00,1.2500000000000000e-01
+7,1.0000000000000000e-300,1.5625000000000000e-02,-6.0000000000000000e+00,0.0000000000000000e+00,1.2500000000000000e-01
+8,-2.5000000000000000e+00,7.8125000000000000e-03,-7.0000000000000000e+00,0.0000000000000000e+00,1.2500000000000000e-01
+9,3.3333333333333331e-01,3.9062500000000000e-03,-8.0000000000000000e+00,0.0000000000000000e+00,1.2500000000000000e-01
+10,1.2345678000000000e+04,1.9531250000000000e-03,-9.0000000000000000e+00,0.0000000000000000e+00,1.2500000000000000e-01
+# price = [0.0000000000000000e+00, 1.0000000000000000e-300, 2.5000000000000000e+00]
+"""
+
+
 def parse(text):
     return specio.market_from_document(json.loads(text))
 
@@ -254,6 +270,43 @@ class TestTraceFiles:
         assert lines[0] == "iter,ter,grad_norm,min_excess,complementarity,step"
         assert len(lines) == 4
         assert lines[-1].startswith("# price = [")
+
+    def test_golden_bytes(self, tmp_path):
+        nan, inf = float("nan"), float("inf")
+        trace = Trace(
+            scheme="basic", step=0.125,
+            ter=np.array([1.0, 0.1, nan, inf, -inf, -0.0, 1e-300, -2.5, 1 / 3, 12345.678]),
+            grad_norm=2.0 ** -np.arange(10.0),
+            min_excess=-np.arange(10.0),
+            complementarity=np.zeros(10),
+            steps=np.full(10, 0.125),
+            price=np.array([0.0, 1e-300, 2.5]),
+        )
+        path = tmp_path / "t.csv"
+        specio.write_trace(trace, str(path))
+        assert path.read_bytes().decode("utf-8") == GOLDEN_TRACE
+
+    def test_skips_blank_and_comment_lines(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(specio.TRACE_HEADER + "\n\n  \n# note\n# price = [1.5]\n")
+        table = specio.read_trace(str(path))
+        assert table.iter.dtype == np.int64 and table.iter.shape == (0,)
+        assert table.ter.dtype == np.float64 and table.ter.shape == (0,)
+        np.testing.assert_array_equal(table.price, [1.5])
+        path.write_text(specio.TRACE_HEADER + "\n1,0,0,0,0,0.1\n\n# a comment\n"
+                        " 2,1,1,1,1,0.1 \n# price = [1.5]\n")
+        np.testing.assert_array_equal(specio.read_trace(str(path)).iter, [1, 2])
+
+    @pytest.mark.parametrize("row, footer", [
+        ("1,0,0,0,0", "# price = [1.5]"), ("1,0,0,0,0,0.1,0", "# price = [1.5]"),
+        ("1.5,0,0,0,0,0.1", "# price = [1.5]"), ("1,0,x,0,0,0.1", "# price = [1.5]"),
+        ("1,0,0,0,0,0.1 # a note", "# price = [1.5]"), ("1,0,0,0,0,0.1", "# price"),
+    ])
+    def test_rejects_malformed_row(self, tmp_path, row, footer):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{specio.TRACE_HEADER}\n{row}\n{footer}\n")
+        with pytest.raises(ValueError):
+            specio.read_trace(str(path))
 
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"

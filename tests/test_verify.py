@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from marketclear import Market, sampling, specio, verify
+from marketclear import Market, sampling, solvers, specio, verify
 
 from conftest import SPEC_DIR
 
@@ -28,6 +28,29 @@ def _target_covariance(ns):
 
 def _by_name(results):
     return {r.name: r for r in results}
+
+
+class TestFiniteDifferences:
+    def test_one_routine(self):
+        assert verify.fd_gradient is solvers.fd_gradient
+        assert verify.FD_STEP == solvers.FD_STEP == 1e-5
+
+    def test_one_call_on_interleaved_rows(self):
+        calls = []
+
+        def f(rows):
+            calls.append(rows.copy())
+            return rows @ np.array([1.0, 2.0, -3.0])
+
+        x = np.array([1.0, -2.0, 0.5])
+        fd = verify.fd_gradient(f, x)
+        expected = np.repeat(x[None, :], 6, axis=0)
+        for i in range(3):
+            expected[2 * i, i] += verify.FD_STEP
+            expected[2 * i + 1, i] -= verify.FD_STEP
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], expected)
+        np.testing.assert_allclose(fd, [1.0, 2.0, -3.0], rtol=1e-9)
 
 
 class TestCorrelationSuite:
