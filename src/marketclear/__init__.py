@@ -13,6 +13,7 @@ from .market import (
 )
 from .nested_logit import (
     DomainError,
+    MarketclearError,
     NestStructure,
     SmoothnessModuli,
     StructureError,
@@ -50,6 +51,7 @@ __all__ = [
     "Market",
     "ProductivityCheck",
     "DomainError",
+    "MarketclearError",
     "NestStructure",
     "SmoothnessModuli",
     "StructureError",

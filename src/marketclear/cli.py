@@ -1,9 +1,9 @@
 """Command-line front end: gen, solve, verify, rate.
 
-Exit codes: 0 success; 1 spec/IO/config errors (diagnostic on stderr);
-2 when the solver hits the iteration cap without converging (the trace
-is still written). MARKETCLEAR_LOG={error|info|debug} controls logging
-verbosity on stderr.
+Exit codes: 0 success; 1 for a MarketclearError or OSError, reported by
+`main` as one `error: ...` line on stderr; 2 when the solver hits the
+iteration cap without converging (the trace is still written).
+MARKETCLEAR_LOG={error|info|debug} controls logging verbosity on stderr.
 """
 
 from __future__ import annotations
@@ -15,18 +15,8 @@ import os
 import sys
 
 from . import specio, verify
-from .nested_logit import DomainError, StructureError
-from .solvers import (
-    SCHEMES,
-    ConfigError,
-    DivergedError,
-    RateFitError,
-    SolverConfig,
-    UnproductiveMarketError,
-    fit_rate,
-    qualifying_window,
-    solve,
-)
+from .nested_logit import MarketclearError
+from .solvers import SCHEMES, ConfigError, SolverConfig, fit_rate, qualifying_window, solve
 
 log = logging.getLogger("marketclear.cli")
 
@@ -48,10 +38,9 @@ def _fail(message: str) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        doc = specio.generate_market(args.n, args.consumers, args.suppliers, args.seed)
-    except ValueError as exc:
-        return _fail(str(exc))
+    if args.seed < 0:
+        return _fail("--seed must be >= 0")
+    doc = specio.generate_market(args.n, args.consumers, args.suppliers, args.seed)
     text = specio.dumps_document(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
@@ -63,30 +52,26 @@ def _cmd_gen(args) -> int:
 
 def _load_p0(path: str):
     """The JSON document of a --p0 file; the solver converts and checks it."""
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
+        raise ConfigError(str(exc)) from exc
 
 
 def _cmd_solve(args) -> int:
-    try:
-        market = specio.load_market(args.market)
-        p0 = _load_p0(args.p0) if args.p0 else None
-        config = SolverConfig(
-            scheme=args.scheme,
-            step=args.step,
-            max_iters=args.max_iters,
-            tol=args.tol,
-            p0=p0,
-        )
-        trace = solve(market, config)
-    except (specio.SpecError, StructureError, DomainError, ConfigError,
-            UnproductiveMarketError, DivergedError, OSError, json.JSONDecodeError) as exc:
-        return _fail(str(exc))
+    market = specio.load_market(args.market)
+    p0 = _load_p0(args.p0) if args.p0 else None
+    config = SolverConfig(
+        scheme=args.scheme,
+        step=args.step,
+        max_iters=args.max_iters,
+        tol=args.tol,
+        p0=p0,
+    )
+    trace = solve(market, config)
     if args.trace:
-        try:
-            specio.write_trace(trace, args.trace)
-        except OSError as exc:
-            return _fail(str(exc))
+        specio.write_trace(trace, args.trace)
     # the trace's last row already holds the residuals and TER of trace.price
     print(
         f"scheme={trace.scheme} iters={trace.iterations} "
@@ -109,12 +94,8 @@ def _cmd_verify(args) -> int:
         return _fail(f"--samples must be >= 1, got {args.samples}")
     if args.seed < 0:
         return _fail("--seed must be >= 0")
-    try:
-        market = specio.load_market(args.market)
-        results = verify.run_suites(names, market, args.samples, args.seed)
-    except (specio.SpecError, StructureError, DomainError, OSError,
-            json.JSONDecodeError) as exc:
-        return _fail(str(exc))
+    market = specio.load_market(args.market)
+    results = verify.run_suites(names, market, args.samples, args.seed)
     width = max(len(f"{r.suite}: {r.name}") for r in results)
     failures = 0
     for r in results:
@@ -128,11 +109,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    try:
-        table = specio.read_trace(args.trace)
-        slope = fit_rate(table, args.ter_star)
-    except (OSError, ValueError, RateFitError) as exc:
-        return _fail(str(exc))
+    table = specio.read_trace(args.trace)
+    slope = fit_rate(table, args.ter_star)
     mask = qualifying_window(table.ter, args.ter_star)
     t = table.iter[mask]
     print(f"slope={slope:.6f} window=[{t.min()}, {t.max()}] points={mask.sum()}")
@@ -186,7 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (MarketclearError, OSError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

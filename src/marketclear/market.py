@@ -225,6 +225,7 @@ class Market:
     def equilibrium_residual(self, p) -> EquilibriumResidual:
         """Clearing residuals of Definition-style equilibrium conditions at p."""
         p = check_array(p, self.n, "prices", nonnegative=True)
+        require(p.ndim == 1, CODE_MALFORMED, "prices", f"shape {p.shape}, expected ({self.n},)")
         z = self._flat.kernel(p, False, True)[1]
         grad_norm, min_excess, complementarity = clearing_residuals(p, z)
         return EquilibriumResidual(min_excess=min_excess, complementarity=complementarity,

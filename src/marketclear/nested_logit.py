@@ -19,6 +19,7 @@ the last axis.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,14 @@ import numpy as np
 # Smallest admissible scale parameter: below this, exp(v/mu) is
 # numerically meaningless even in log space.
 MU_MIN = 1e-6
+
+# Largest admissible magnitude of a market datum (`require_finite`). The
+# kernel's largest products are gamma * (y - y_nat)^2 and y * p, with
+# |y| <= B and prices of order c + 2 gamma (count - y_nat), that is B^2,
+# and count * (a - p) / mu with mu > MU_MIN: at most a few B^3 / MU_MIN,
+# 1e156 for B = 1e50. TER and z therefore stay finite, far below the
+# float maximum 1.8e308, even summed over any market that fits in memory.
+MAX_MAGNITUDE = 1e50
 
 # Tolerance for the simplex membership test in `conjugate`.
 SIMPLEX_ATOL = 1e-8
@@ -40,7 +49,11 @@ CODE_BOUNDS = "bounds"
 CODE_NON_FINITE = "non-finite"
 
 
-class StructureError(ValueError):
+class MarketclearError(Exception):
+    """Base of every error the package raises on bad input or an unsolvable market."""
+
+
+class StructureError(MarketclearError, ValueError):
     """Market data, nest structure or dimension invariants violated.
 
     `code` names the rule and `field` the offending attribute, indexed
@@ -55,7 +68,7 @@ class StructureError(ValueError):
         self.field = field
 
 
-class DomainError(ValueError):
+class DomainError(MarketclearError, ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
@@ -72,9 +85,12 @@ def require(ok, code: str, field: str, message: str) -> None:
 
 
 def require_finite(**fields) -> None:
-    """Raise a non-finite StructureError at the first NaN or infinite entry."""
+    """Raise a non-finite StructureError at the first NaN or infinite
+    entry, or at the first entry of magnitude above MAX_MAGNITUDE."""
     for name, value in fields.items():
         require(np.isfinite(value), CODE_NON_FINITE, name, "must be finite")
+        require(np.abs(value) <= MAX_MAGNITUDE, CODE_NON_FINITE, name,
+                f"magnitude exceeds {MAX_MAGNITUDE:g}")
 
 
 def check_array(x, n: int, what: str, nonnegative: bool = False) -> np.ndarray:
@@ -104,9 +120,14 @@ class NestStructure:
     mu: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "nests", tuple(tuple(sorted(int(i) for i in nest)) for nest in self.nests)
-        )
+        nests = []
+        for l, nest in enumerate(self.nests):
+            try:
+                nests.append(tuple(sorted(operator.index(i) for i in nest)))
+            except TypeError:
+                raise StructureError(f"members must be integer indices, got {nest!r}",
+                                     CODE_MALFORMED, f"nests[{l}]") from None
+        object.__setattr__(self, "nests", tuple(nests))
         object.__setattr__(self, "mu", tuple(float(m) for m in self.mu))
         require(self.n >= 1, CODE_MALFORMED, "n", f"need at least one alternative, got {self.n}")
         require(len(self.nests) == len(self.mu), CODE_MALFORMED, "mu",

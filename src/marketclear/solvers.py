@@ -53,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .market import Market, clearing_residuals
+from .nested_logit import MarketclearError
 
 log = logging.getLogger("marketclear.solvers")
 
@@ -73,15 +74,15 @@ _MAX_HALVINGS = 60
 SCHEMES = ("basic", "accelerated")
 
 
-class ConfigError(ValueError):
+class ConfigError(MarketclearError, ValueError):
     """Invalid solver configuration."""
 
 
-class UnproductiveMarketError(RuntimeError):
+class UnproductiveMarketError(MarketclearError, RuntimeError):
     """Supply cannot dominate demand; the potential may be unbounded below."""
 
 
-class DivergedError(RuntimeError):
+class DivergedError(MarketclearError, RuntimeError):
     """Non-finite values encountered during iteration."""
 
     def __init__(self, iteration: int, what: str = "iterate"):
@@ -89,7 +90,7 @@ class DivergedError(RuntimeError):
         self.iteration = iteration
 
 
-class RateFitError(RuntimeError):
+class RateFitError(MarketclearError, RuntimeError):
     """Trace has too few qualifying iterations for a rate fit."""
 
 
@@ -178,6 +179,11 @@ def _initial_prices(market: Market, p0: np.ndarray | None) -> np.ndarray:
         p = np.array(p0, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"initial prices must be a numeric array: {exc}") from exc
+    # the conversion reads "2.9" and true as numbers, also in a list of floats
+    text = [x for x in np.ravel(np.array(p0, dtype=object))
+            if isinstance(x, (str, bool, np.bool_))]
+    if text:
+        raise ConfigError(f"initial prices must be a numeric array: got {text[0]!r}")
     if np.any(p < 0) or not np.all(np.isfinite(p)):
         raise ConfigError("initial prices must be finite and nonnegative")
     if p.shape != (market.n,):

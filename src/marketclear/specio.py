@@ -36,6 +36,7 @@ from .nested_logit import (  # the CODE_* names are re-exported
     CODE_MU_RANGE,
     CODE_NON_FINITE,
     CODE_PARTITION,
+    MarketclearError,
     NestStructure,
     StructureError,
 )
@@ -47,7 +48,7 @@ _DOC_FIELDS = {"a": "utilities{}", "lo": "capacity.lo{}", "hi": "capacity.hi{}",
                "c": "base_cost.c{}", "d": "base_cost.d{}", "mu": "nests{}.mu"}
 
 
-class SpecError(ValueError):
+class SpecError(MarketclearError, ValueError):
     """Spec document rejected; carries an error code and a field path."""
 
     def __init__(self, code: str, path: str, message: str):
@@ -191,7 +192,7 @@ def load_market(path: str) -> Market:
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
         raise SpecError(CODE_MALFORMED, "$", f"invalid JSON: {exc}") from exc
     return market_from_document(doc)
 
@@ -237,7 +238,7 @@ def generate_market(n: int, n_consumers: int, n_suppliers: int, seed: int) -> di
     Scale parameters fall in [0.2, 1], observable utilities in [-2, 2].
     """
     if n < 1 or n_consumers < 1 or n_suppliers < 1:
-        raise ValueError("n, consumer and supplier counts must all be >= 1")
+        raise SpecError(CODE_MALFORMED, "$", "n, consumer and supplier counts must all be >= 1")
     rng = np.random.default_rng(seed)
     consumers = []
     for _ in range(n_consumers):
@@ -305,21 +306,24 @@ def write_trace(trace, path: str) -> None:
 
 
 def read_trace(path: str) -> TraceTable:
-    """Read a trace file back; lossless for values written by write_trace."""
-    with open(path, "r", encoding="utf-8") as f:
-        header, *lines = f.read().split("\n")
-    if header != TRACE_HEADER:
-        raise ValueError(f"unexpected trace header {header!r}")
+    """Read a trace file back; lossless for values written by write_trace.
+    Any other file raises a SpecError with code malformed at its path."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            header, *lines = f.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise SpecError(CODE_MALFORMED, path, str(exc)) from exc
+    _require(header == TRACE_HEADER, CODE_MALFORMED, path, f"unexpected trace header {header!r}")
     lines = [line.strip() for line in lines]
     data = [line for line in lines if line and not line.startswith("#")]
-    rows = (np.loadtxt(data, _ROW, comments=None, delimiter=",", ndmin=1) if data
-            else np.empty(0, _ROW))
-    price = None
-    for line in lines:  # the footer is the last comment whose body starts with "price"
-        body = line.lstrip("#").strip()
-        if line.startswith("#") and body.startswith("price"):
-            inner = body.split("=", 1)[-1].strip().strip("[]")
-            price = np.array([float(x) for x in inner.split(",")] if inner else [])
-    if price is None:
-        raise ValueError("trace file has no price footer")
+    comments = [line.lstrip("#").strip() for line in lines if line.startswith("#")]
+    footer = [body for body in comments if body.startswith("price")]  # the last one counts
+    _require(bool(footer), CODE_MALFORMED, path, "trace file has no price footer")
+    try:
+        rows = (np.loadtxt(data, _ROW, comments=None, delimiter=",", ndmin=1) if data
+                else np.empty(0, _ROW))
+        inner = footer[-1].split("=", 1)[-1].strip().strip("[]")
+        price = np.array([float(x) for x in inner.split(",")] if inner else [])
+    except ValueError as exc:  # a row or the footer does not parse
+        raise SpecError(CODE_MALFORMED, path, str(exc)) from exc
     return TraceTable(*(rows[name] for name in _ROW.names), price=price)

@@ -4,7 +4,8 @@ import subprocess
 import numpy as np
 import pytest
 
-from marketclear import specio
+from marketclear import cli, specio
+from marketclear.market import _FlatMarket
 from marketclear.solvers import SCHEMES, Trace
 
 from conftest import PYTHON, SPEC_DIR, json_path, set_leaf
@@ -103,16 +104,19 @@ class TestSolve:
         assert r.returncode == 1
         assert "mu out of range" in r.stderr
 
-    def test_non_finite_ter_is_not_converged(self, tmp_path):
-        doc = json.loads((SPEC_DIR / "market_n6.json").read_text(encoding="utf-8"))
-        doc["suppliers"][0]["y_nat"][0] = 1e200  # finite, but overflows the penalty
-        bad = tmp_path / "huge_y_nat.json"
-        bad.write_text(json.dumps(doc))
-        r = run_cli("solve", "--market", str(bad))
-        assert r.returncode == 1
-        assert "non-finite potential value (TER) at iteration 1" in r.stderr
-        assert "Traceback" not in r.stderr
-        assert "converged" not in r.stdout
+    def test_non_finite_ter_is_not_converged(self, monkeypatch, capsys):
+        kernel = _FlatMarket.kernel
+
+        def overflowing(self, x, value, grad):  # TER overflows, z stays finite
+            return (-np.inf if value else None), kernel(self, x, value, grad)[1]
+
+        monkeypatch.setattr(_FlatMarket, "kernel", overflowing)
+        returncode = cli.main(["solve", "--market", MARKET_N6])
+        stdout, stderr = capsys.readouterr()
+        assert returncode == 1
+        assert "non-finite potential value (TER) at iteration 1" in stderr
+        assert "Traceback" not in stderr
+        assert "converged" not in stdout
 
     def test_p0_file(self, tmp_path):
         p0 = tmp_path / "p0.json"
@@ -130,11 +134,12 @@ class TestSolve:
 
     def test_non_numeric_p0(self, tmp_path):
         p0 = tmp_path / "p0.json"
-        p0.write_text('["a"]')
-        r = run_cli("solve", "--market", SINGLE_GOOD, "--p0", str(p0))
-        assert r.returncode == 1
-        assert r.stderr.startswith("error: initial prices must be a numeric array")
-        assert "Traceback" not in r.stderr
+        for text in ('["a"]', "[true]"):  # numpy would read true as 1.0
+            p0.write_text(text)
+            r = run_cli("solve", "--market", SINGLE_GOOD, "--p0", str(p0))
+            assert r.returncode == 1
+            assert r.stderr.startswith("error: initial prices must be a numeric array")
+            assert "Traceback" not in r.stderr
 
     def test_summary_is_the_last_trace_row(self, tmp_path):
         trace_path = tmp_path / "run.csv"
@@ -234,6 +239,50 @@ class TestRate:
         assert r2.returncode == 0
         slope = float(r2.stdout.split("slope=")[1].split()[0])
         assert slope <= -0.85
+
+
+class TestErrorBoundary:
+    """`main` reports every package error and OSError as one line, exit 1."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        """U: every capacity.hi = 0.1 (unproductive), H: y_nat[0] = 1e200,
+        B: bytes that are not UTF-8, D: a path in a missing directory."""
+        unproductive, huge = (json.loads((SPEC_DIR / "market_n6.json").read_text(encoding="utf-8"))
+                              for _ in range(2))
+        for s in unproductive["suppliers"]:
+            s["capacity"]["hi"] = [0.1] * unproductive["n"]
+        huge["suppliers"][0]["y_nat"][0] = 1e200
+        paths = {"U": tmp_path / "U", "H": tmp_path / "H", "B": tmp_path / "B",
+                 "D": tmp_path / "missing" / "x.json"}
+        paths["U"].write_text(json.dumps(unproductive))
+        paths["H"].write_text(json.dumps(huge))
+        paths["B"].write_bytes(b"\xff\xfe")
+        return {name: str(path) for name, path in paths.items()}
+
+    @pytest.mark.parametrize("args", [
+        ("gen", "--n", "3", "--consumers", "1", "--suppliers", "1", "--out", "D"),
+        ("verify", "--market", "U", "--suite", "bounds"),
+        ("verify", "--market", "H", "--suite", "bounds"),
+        ("solve", "--market", "B"),
+        ("verify", "--market", "B", "--suite", "all"),
+        ("solve", "--market", MARKET_N6, "--p0", "B"),
+        ("rate", "--trace", "B", "--ter-star", "0"),
+    ])
+    def test_package_error_is_one_line(self, inputs, args):
+        r = run_cli(*(inputs.get(a, a) for a in args))
+        assert r.returncode == 1
+        assert r.stderr.startswith("error:")
+        assert r.stderr.count("\n") == 1
+        assert "Traceback" not in r.stderr
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        def broken(market, config):
+            raise ZeroDivisionError("a defect")
+
+        monkeypatch.setattr(cli, "solve", broken)
+        with pytest.raises(ZeroDivisionError, match="a defect"):
+            cli.main(["solve", "--market", SINGLE_GOOD])
 
 
 class TestLogging:

@@ -1,3 +1,5 @@
+import re
+
 import hypothesis.strategies as st
 import mpmath as mp
 import numpy as np
@@ -9,6 +11,8 @@ from marketclear import specio
 from marketclear.market import _CHUNK_ROWS
 from marketclear.solvers import SolverConfig, reference_solve, solve
 from marketclear.verify import fd_gradient
+
+from conftest import SPEC_DIR
 
 
 def mp_market_value(market, p, dps=50):
@@ -171,6 +175,14 @@ class TestEquilibriumResidual:
         r = single_good_market.equilibrium_residual([10.0])
         assert r.min_excess > 0
         assert r.complementarity > 0
+
+    @pytest.mark.parametrize("spec, shape", [
+        ("market_n6.json", (6, 6)), ("market_n6.json", (8, 6)), ("single_good.json", (2, 1)),
+    ])
+    def test_rejects_a_batch(self, spec, shape):
+        m = specio.load_market(str(SPEC_DIR / spec))
+        with pytest.raises(mc.StructureError, match=re.escape(f"prices: shape {shape}")):
+            m.equilibrium_residual(np.ones(shape))
 
     def test_converged_run_has_small_residuals(self, six_good_market):
         trace = solve(six_good_market, SolverConfig(scheme="accelerated"))

@@ -71,6 +71,10 @@ class TestNestStructure:
     def test_index_bounds(self):
         with pytest.raises(StructureError):
             NestStructure(2, ((0, 2),), (0.5,))
+        for nests in (((0, 1.7), (2,)), (("0", "1"), (2,))):  # int() would take both
+            with pytest.raises(StructureError, match="integer indices") as err:
+                NestStructure(3, nests, (1.0, 1.0))
+            assert (err.value.code, err.value.field) == ("malformed", "nests[0]")
 
 
 class TestSurplus:

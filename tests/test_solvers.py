@@ -122,7 +122,8 @@ class TestSolve:
         with pytest.raises(ConfigError, match=message):
             SolverConfig(**{field: value})
 
-    @pytest.mark.parametrize("p0", [["a"], [[1.0, 2.0], [3.0]], {"a": 1}])
+    @pytest.mark.parametrize("p0", [["a"], [[1.0, 2.0], [3.0]], {"a": 1},
+                                    ["2.9"], [True], [2.9, True]])
     def test_non_numeric_p0_is_a_config_error(self, single_good_market, p0):
         for run in (lambda: solve(single_good_market, SolverConfig(p0=p0)),
                     lambda: reference_solve(single_good_market, p0=p0)):
@@ -176,14 +177,19 @@ class TestSolve:
                 rec.record(np.array([bad_p, 1.0]), np.array([bad_z, 0.5]), 0.0)
             assert err.value.iteration == 2
 
-    def test_divergence_guard_rejects_non_finite_ter(self):
-        # a huge but finite natural supply level overflows the adjustment
-        # penalty, hence TER, to -inf while prices and excess supply stay
-        # finite
+    def test_divergence_guard_rejects_non_finite_ter(self, monkeypatch):
+        # a kernel whose TER overflows to -inf while prices and excess
+        # supply stay finite
+        from marketclear.market import _FlatMarket
         from marketclear.solvers import DivergedError
 
+        kernel = _FlatMarket.kernel
+
+        def overflowing(self, x, value, grad):
+            return (-np.inf if value else None), kernel(self, x, value, grad)[1]
+
+        monkeypatch.setattr(_FlatMarket, "kernel", overflowing)
         doc = json.loads((SPEC_DIR / "market_n6.json").read_text(encoding="utf-8"))
-        doc["suppliers"][0]["y_nat"][0] = 1e200
         m = specio.market_from_document(doc)
         assert np.all(np.isfinite(m.ter_gradient(np.zeros(m.n))))
         for scheme in ("basic", "accelerated"):

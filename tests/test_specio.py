@@ -130,7 +130,7 @@ def float_leaves(doc, keys=()):
         yield keys
 
 
-MUTATIONS = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-9, 2.0)
+MUTATIONS = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-9, 2.0, 1e200, -1e200)
 
 
 class TestFieldRules:
