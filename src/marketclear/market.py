@@ -53,7 +53,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .nested_logit import CODE_MALFORMED, NestStructure, check_array, require, require_finite
+from .nested_logit import CODE_MALFORMED, NestStructure, check_array, real, require, require_finite
 from .supply import Supplier
 
 # Rows of a price block evaluated per kernel pass. The pass keeps
@@ -79,10 +79,8 @@ class ConsumerType:
     nests: NestStructure
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "count", float(self.count))
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        require(self.a.shape == (self.nests.n,), CODE_MALFORMED, "a",
-                f"utilities have shape {self.a.shape}, expected ({self.nests.n},)")
+        object.__setattr__(self, "count", float(real(self.count, "count", ())))
+        object.__setattr__(self, "a", real(self.a, "a", (self.nests.n,)))
         require_finite(count=self.count, a=self.a)
         require(self.count > 0, CODE_MALFORMED, "count",
                 f"population count must be positive, got {self.count}")

@@ -36,6 +36,10 @@ MU_MIN = 1e-6
 # float maximum 1.8e308, even summed over any market that fits in memory.
 MAX_MAGNITUDE = 1e50
 
+# Smallest admissible adjustment weight gamma: 1 / gamma enters the
+# smoothness constant, which a subnormal gamma makes infinite.
+GAMMA_MIN = 1.0 / MAX_MAGNITUDE
+
 # Tolerance for the simplex membership test in `conjugate`.
 SIMPLEX_ATOL = 1e-8
 
@@ -84,6 +88,26 @@ def require(ok, code: str, field: str, message: str) -> None:
         )
 
 
+def real(value, field: str, shape: tuple | None = None) -> np.ndarray:
+    """value as a float array, of the given shape if asked. The one rule for
+    real-valued data: each entry is a Python or numpy int or float, not a bool;
+    text, None, a dict or a nested list is malformed, named as in `require`."""
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):  # those skip the scan
+        value = np.array(value, dtype=object)
+        for i, e in enumerate(value.flat):
+            if isinstance(e, bool) or not isinstance(e, (int, float, np.integer, np.floating)):
+                raise StructureError(f"expected a number, got {type(e).__name__}",
+                                     CODE_MALFORMED, f"{field}[{i}]" if value.ndim else field)
+    try:
+        x = np.asarray(value, dtype=float)
+    except OverflowError:  # a Python int beyond the float range
+        raise StructureError(f"magnitude exceeds {MAX_MAGNITUDE:g}", CODE_NON_FINITE, field) from None
+    if shape is not None and x.shape != shape:
+        raise StructureError(f"expected {'a number' if shape == () else f'shape {shape}'}, "
+                             f"got shape {x.shape}", CODE_MALFORMED, field)
+    return x
+
+
 def require_finite(**fields) -> None:
     """Raise a non-finite StructureError at the first NaN or infinite
     entry, or at the first entry of magnitude above MAX_MAGNITUDE."""
@@ -95,7 +119,7 @@ def require_finite(**fields) -> None:
 
 def check_array(x, n: int, what: str, nonnegative: bool = False) -> np.ndarray:
     """x as floats with last dimension n, all finite, and >= 0 if asked."""
-    x = np.asarray(x, dtype=float)
+    x = real(x, what)
     if x.ndim == 0 or x.shape[-1] != n:
         raise StructureError(f"{what} must have last dimension {n}")
     if not np.isfinite(x).all():
@@ -128,10 +152,8 @@ class NestStructure:
                 raise StructureError(f"members must be integer indices, got {nest!r}",
                                      CODE_MALFORMED, f"nests[{l}]") from None
         object.__setattr__(self, "nests", tuple(nests))
-        object.__setattr__(self, "mu", tuple(float(m) for m in self.mu))
+        object.__setattr__(self, "mu", tuple(real(self.mu, "mu", (len(nests),)).tolist()))
         require(self.n >= 1, CODE_MALFORMED, "n", f"need at least one alternative, got {self.n}")
-        require(len(self.nests) == len(self.mu), CODE_MALFORMED, "mu",
-                f"{len(self.nests)} nests but {len(self.mu)} scale parameters")
         require(len(self.nests) > 0, CODE_MALFORMED, "nests", "empty nest list")
         require_finite(mu=self.mu)
         seen: dict[int, int] = {}  # alternative -> its nest

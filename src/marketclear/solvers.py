@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .market import Market, clearing_residuals
-from .nested_logit import MarketclearError
+from .nested_logit import MarketclearError, StructureError, real
 
 log = logging.getLogger("marketclear.solvers")
 
@@ -176,14 +176,9 @@ def _initial_prices(market: Market, p0: np.ndarray | None) -> np.ndarray:
     if p0 is None:
         return np.zeros(market.n)
     try:
-        p = np.array(p0, dtype=float)
-    except (TypeError, ValueError) as exc:
+        p = real(p0, "p0")
+    except StructureError as exc:
         raise ConfigError(f"initial prices must be a numeric array: {exc}") from exc
-    # the conversion reads "2.9" and true as numbers, also in a list of floats
-    text = [x for x in np.ravel(np.array(p0, dtype=object))
-            if isinstance(x, (str, bool, np.bool_))]
-    if text:
-        raise ConfigError(f"initial prices must be a numeric array: got {text[0]!r}")
     if np.any(p < 0) or not np.all(np.isfinite(p)):
         raise ConfigError("initial prices must be finite and nonnegative")
     if p.shape != (market.n,):

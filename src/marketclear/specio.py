@@ -11,9 +11,9 @@ A market spec is a JSON document
 
 with 1-based alternative indices in `members` (converted to 0-based
 internally). The reader checks only the document's shape; the market
-constructors check the values, and their errors are reported here at
-the field's document path. Documents are serialized canonically
-(sorted keys, 2-space indent, full-precision floats) so that
+constructors check the values, numbers included, and their errors are
+reported here at the field's document path. Documents are serialized
+canonically (sorted keys, 2-space indent, full-precision floats) so that
 generate -> write -> parse -> write is byte-identical.
 
 Trace files are CSV with the header TRACE_HEADER, one row per iteration
@@ -72,16 +72,10 @@ def _build(cls, path: str, **fields):
         raise SpecError(exc.code, f"{path}.{field}" if field else path, exc.message) from exc
 
 
-def _number(doc: Any, path: str) -> float:
-    _require(isinstance(doc, (int, float)) and not isinstance(doc, bool),
-             CODE_MALFORMED, path, f"expected a number, got {type(doc).__name__}")
-    return float(doc)
-
-
-def _vector(doc: Any, n: int, path: str) -> np.ndarray:
+def _vector(doc: Any, n: int, path: str) -> list:
     _require(len(_array(doc, path)) == n, CODE_MALFORMED, path,
              f"expected {n} entries, got {len(doc)}")
-    return np.array([_number(x, f"{path}[{i}]") for i, x in enumerate(doc)])
+    return doc
 
 
 def _mapping(doc: Any, path: str) -> dict:
@@ -101,7 +95,7 @@ def _array(doc: Any, path: str) -> list:
 
 def _parse_consumer(doc: Any, n: int, path: str) -> ConsumerType:
     doc = _mapping(doc, path)
-    count = _number(_key(doc, "count", path), f"{path}.count")
+    count = _key(doc, "count", path)
     a = _vector(_key(doc, "utilities", path), n, f"{path}.utilities")
     members, mus = [], []
     for l, nest_doc in enumerate(_array(_key(doc, "nests", path), f"{path}.nests")):
@@ -112,14 +106,14 @@ def _parse_consumer(doc: Any, n: int, path: str) -> ConsumerType:
             _require(isinstance(x, int) and not isinstance(x, bool), CODE_MALFORMED,
                      f"{npath}.members[{i}]", "expected an integer index")
         members.append(tuple(x - 1 for x in raw))  # 1-based on disk
-        mus.append(_number(_key(nest_doc, "mu", npath), f"{npath}.mu"))
+        mus.append(_key(nest_doc, "mu", npath))
     nests = _build(NestStructure, path, n=n, nests=tuple(members), mu=tuple(mus))
     return _build(ConsumerType, path, count=count, a=a, nests=nests)
 
 
 def _parse_supplier(doc: Any, n: int, path: str) -> Supplier:
     doc = _mapping(doc, path)
-    gamma = _number(_key(doc, "gamma", path), f"{path}.gamma")
+    gamma = _key(doc, "gamma", path)
     y_nat = _vector(_key(doc, "y_nat", path), n, f"{path}.y_nat")
     cap = _mapping(_key(doc, "capacity", path), f"{path}.capacity")
     lo = _vector(_key(cap, "lo", f"{path}.capacity"), n, f"{path}.capacity.lo")
@@ -237,8 +231,11 @@ def generate_market(n: int, n_consumers: int, n_suppliers: int, seed: int) -> di
     total population, which guarantees the productivity check passes.
     Scale parameters fall in [0.2, 1], observable utilities in [-2, 2].
     """
-    if n < 1 or n_consumers < 1 or n_suppliers < 1:
-        raise SpecError(CODE_MALFORMED, "$", "n, consumer and supplier counts must all be >= 1")
+    args = (n, n_consumers, n_suppliers, seed)
+    if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 0
+               for k in args) or min(args[:3]) < 1:
+        raise SpecError(CODE_MALFORMED, "$", "n, consumer and supplier counts must all be "
+                        f"integers >= 1 and the seed an integer >= 0, got {args}")
     rng = np.random.default_rng(seed)
     consumers = []
     for _ in range(n_consumers):
@@ -307,7 +304,8 @@ def write_trace(trace, path: str) -> None:
 
 def read_trace(path: str) -> TraceTable:
     """Read a trace file back; lossless for values written by write_trace.
-    Any other file raises a SpecError with code malformed at its path."""
+    Any other file, or a NaN or infinite cell, raises a SpecError with
+    code malformed at its path."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             header, *lines = f.read().split("\n")
@@ -326,4 +324,9 @@ def read_trace(path: str) -> TraceTable:
         price = np.array([float(x) for x in inner.split(",")] if inner else [])
     except ValueError as exc:  # a row or the footer does not parse
         raise SpecError(CODE_MALFORMED, path, str(exc)) from exc
+    for name, values in [(name, rows[name]) for name in _ROW.names[1:]] + [("price", price)]:
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            where = f"price[{bad[0]}]" if name == "price" else f"row {bad[0] + 1}, column {name}"
+            raise SpecError(CODE_MALFORMED, path, f"{where} is not finite: {values[bad[0]]}")
     return TraceTable(*(rows[name] for name in _ROW.names), price=price)

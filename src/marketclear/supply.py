@@ -20,7 +20,9 @@ from .nested_logit import (
     CODE_BOUNDS,
     CODE_GAMMA,
     CODE_MALFORMED,
+    GAMMA_MIN,
     check_array,
+    real,
     require,
     require_finite,
 )
@@ -32,7 +34,7 @@ class Supplier:
 
     Attributes:
         y_nat: natural supply level, deviations from it are penalized.
-        gamma: adjustment-cost weight, > 0.
+        gamma: adjustment-cost weight, >= GAMMA_MIN.
         lo, hi: capacity box, 0 <= lo <= hi componentwise.
         c: linear base-cost coefficients.
         d: diagonal-quadratic base-cost coefficients, >= 0 (all zero
@@ -48,19 +50,18 @@ class Supplier:
     d: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        for name in ("y_nat", "lo", "hi", "c"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        d = np.zeros_like(self.c) if self.d is None else np.asarray(self.d, dtype=float)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "y_nat", real(self.y_nat, "y_nat"))
         n = self.y_nat.shape
-        for name in ("lo", "hi", "c", "d"):
-            require(getattr(self, name).shape == n, CODE_MALFORMED, name,
-                    f"has shape {getattr(self, name).shape}, expected {n}")
+        require(len(n) == 1, CODE_MALFORMED, "y_nat", f"expected a vector, got shape {n}")
+        for name in ("lo", "hi", "c"):
+            object.__setattr__(self, name, real(getattr(self, name), name, n))
+        d = np.zeros(n) if self.d is None else real(self.d, "d", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "gamma", float(real(self.gamma, "gamma", ())))
         require_finite(gamma=self.gamma, y_nat=self.y_nat, lo=self.lo, hi=self.hi,
                        c=self.c, d=self.d)
-        require(self.gamma > 0, CODE_GAMMA, "gamma",
-                f"adjustment weight must be positive, got {self.gamma}")
+        require(self.gamma >= GAMMA_MIN, CODE_GAMMA, "gamma",
+                f"adjustment weight must be at least {GAMMA_MIN:g}, got {self.gamma}")
         require(self.lo >= 0, CODE_BOUNDS, "lo", "capacity lower bounds must be nonnegative")
         require(self.hi >= self.lo, CODE_BOUNDS, "hi", "capacity box is empty: lo > hi")
         require(self.d >= 0, CODE_MALFORMED, "d",

@@ -188,7 +188,7 @@ class TestVerify:
     def test_negative_seed(self):
         r = run_cli("verify", "--market", SINGLE_GOOD, "--suite", "gradient", "--seed", "-1")
         assert r.returncode == 1
-        assert r.stderr == "error: --seed must be >= 0\n"
+        assert r.stderr == "error: seed must be an integer >= 0, got -1\n"
         assert r.stdout == ""
 
     def test_gradient_suite_passes(self):

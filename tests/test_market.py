@@ -64,6 +64,28 @@ class TestPotentialValue:
         with pytest.raises(mc.StructureError):
             six_good_market.ter(np.zeros(5))
 
+    @pytest.mark.parametrize("p, got", [
+        (["x"] * 6, "str"), (["1"] * 6, "str"), ([True] + [0.0] * 5, "bool"),
+        ([[0.0], 0, 0, 0, 0, 0], "list"), ([None] * 6, "NoneType"), ({"p": 1.0}, "dict"),
+    ])
+    def test_prices_must_be_numbers(self, six_good_market, p, got):
+        for method in (six_good_market.ter, six_good_market.ter_gradient,
+                       six_good_market.value_and_grad, six_good_market.equilibrium_residual):
+            with pytest.raises(mc.StructureError, match=f"expected a number, got {got}$") as err:
+                method(p)
+            assert err.value.code == "malformed"
+            assert err.value.field == ("prices" if isinstance(p, dict) else "prices[0]")
+
+    @pytest.mark.parametrize("field, value, where", [
+        ("count", "2.0", "count"), ("count", True, "count"), ("count", [2.0], "count"),
+        ("a", ["1"] * 3, "a[0]"), ("a", [0.0, np.bool_(True), 0.0], "a[1]"), ("a", [0.0] * 2, "a"),
+    ])
+    def test_consumer_type_rejects_non_numbers(self, field, value, where):
+        data = {"count": 2.0, "a": [0.0] * 3, "nests": mc.NestStructure.single(3)}
+        with pytest.raises(mc.StructureError) as err:
+            mc.ConsumerType(**{**data, field: value})
+        assert (err.value.code, err.value.field) == ("malformed", where)
+
 
 class TestExcessSupply:
     def test_finite_difference_match(self):

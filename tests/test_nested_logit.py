@@ -68,6 +68,15 @@ class TestNestStructure:
             NestStructure(2, ((0, 1),), (1e-7,))
         NestStructure(2, ((0, 1),), (1.0,))  # mu = 1 exactly is allowed
 
+    @pytest.mark.parametrize("mu, where", [
+        ((0.5, "0.5"), "mu[1]"), ((True, 0.5), "mu[0]"), ((0.5, None), "mu[1]"),
+        ((0.5, [0.5, 1.0]), "mu[1]"), (0.5, "mu"), ((0.5,), "mu"),
+    ])
+    def test_mu_must_be_numbers(self, mu, where):
+        with pytest.raises(StructureError) as err:
+            NestStructure(3, ((0, 1), (2,)), mu)
+        assert (err.value.code, err.value.field) == ("malformed", where)
+
     def test_index_bounds(self):
         with pytest.raises(StructureError):
             NestStructure(2, ((0, 2),), (0.5,))

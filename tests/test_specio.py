@@ -149,6 +149,10 @@ class TestFieldRules:
         (("consumers", 1, "nests", 0, "mu"), math.nan, specio.CODE_NON_FINITE),
         (("consumers", 1, "count"), -1.0, specio.CODE_MALFORMED),
         (("consumers", 0, "utilities", 5), -math.inf, specio.CODE_NON_FINITE),
+        (("suppliers", 0, "gamma"), 1e-320, specio.CODE_GAMMA),  # 1 / gamma would be inf
+        (("consumers", 1, "count"), 10**400, specio.CODE_NON_FINITE),  # no float holds it
+        (("consumers", 0, "count"), "2.0", specio.CODE_MALFORMED),
+        (("suppliers", 1, "y_nat", 3), True, specio.CODE_MALFORMED),
     ])
     def test_error_names_the_field(self, keys, value, code):
         doc = market_n6()
@@ -157,6 +161,9 @@ class TestFieldRules:
             specio.market_from_document(doc)
         assert err.value.code == code
         assert err.value.path == json_path(keys)
+        if isinstance(value, (str, bool)):
+            assert str(err.value) == (f"{json_path(keys)}: expected a number, "
+                                      f"got {type(value).__name__} [malformed]")
 
     def test_partition_error_names_the_nest(self):
         doc = market_n6()
@@ -215,6 +222,15 @@ class TestRoundTrip:
     def test_generated_markets_are_productive(self, seed):
         m = specio.market_from_document(specio.generate_market(7, 3, 2, seed=seed))
         assert m.productivity_check()
+
+    @pytest.mark.parametrize("args", [
+        (0, 1, 1, 0), (3, 0, 1, 0), (3, 1, 0, 0), (3, 1, 1, -1),
+        (3.0, 1, 1, 0), (3, 1, 1, "7"), (3, True, 1, 0), (3, 1, 1, None),
+    ])
+    def test_generate_rejects_bad_parameters(self, args):
+        with pytest.raises(specio.SpecError, match="integers >= 1") as err:
+            specio.generate_market(*args)
+        assert (err.value.code, err.value.path) == (specio.CODE_MALFORMED, "$")
 
     def test_one_based_indices_on_disk(self):
         doc = specio.generate_market(3, 1, 1, seed=0)
@@ -306,6 +322,26 @@ class TestTraceFiles:
         path = tmp_path / "bad.csv"
         path.write_text(f"{specio.TRACE_HEADER}\n{row}\n{footer}\n")
         with pytest.raises(ValueError):
+            specio.read_trace(str(path))
+
+    def test_rejects_non_finite_cells(self, tmp_path):
+        # a rate fit on an infinite TER used to print slope=nan and succeed
+        trace = self._trace(80)
+        trace.ter[:60] = np.inf
+        path = tmp_path / "t.csv"
+        specio.write_trace(trace, str(path))
+        with pytest.raises(specio.SpecError) as err:
+            specio.read_trace(str(path))
+        assert (err.value.code, err.value.path) == (specio.CODE_MALFORMED, str(path))
+        assert str(err.value).endswith("row 1, column ter is not finite: inf [malformed]")
+        trace = self._trace()
+        trace.price[2], trace.steps[3] = np.nan, -np.inf
+        specio.write_trace(trace, str(path))
+        with pytest.raises(specio.SpecError, match="row 4, column step is not finite: -inf"):
+            specio.read_trace(str(path))
+        trace.steps[3] = 0.125
+        specio.write_trace(trace, str(path))
+        with pytest.raises(specio.SpecError, match=r"price\[2\] is not finite: nan"):
             specio.read_trace(str(path))
 
     def test_rejects_foreign_header(self, tmp_path):

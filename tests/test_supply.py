@@ -38,6 +38,21 @@ class TestValidation:
     def test_requires_positive_gamma(self):
         with pytest.raises(StructureError):
             Supplier(y_nat=[0.0], gamma=0.0, lo=[0.0], hi=[1.0], c=[0.0])
+        # a subnormal gamma made the smoothness constant infinite and the step 0
+        with pytest.raises(StructureError, match="at least 1e-50") as err:
+            Supplier(y_nat=[0.0], gamma=1e-320, lo=[0.0], hi=[1.0], c=[0.0])
+        assert (err.value.code, err.value.field) == ("gamma", "gamma")
+
+    @pytest.mark.parametrize("field, value, where", [
+        ("gamma", "0.5", "gamma"), ("gamma", True, "gamma"), ("gamma", [1.0], "gamma"),
+        ("y_nat", [[0], 0], "y_nat[0]"), ("y_nat", 0.0, "y_nat"), ("lo", ["0", "0"], "lo[0]"),
+        ("hi", [1.0, None], "hi[1]"), ("c", [0.0, {}], "c[1]"), ("d", [0.0, 0.0, 0.0], "d"),
+    ])
+    def test_rejects_non_numbers(self, field, value, where):
+        data = dict(y_nat=[0.0, 0.0], gamma=1.0, lo=[0.0, 0.0], hi=[1.0, 1.0], c=[0.0, 0.0])
+        with pytest.raises(StructureError) as err:
+            Supplier(**{**data, field: value})
+        assert (err.value.code, err.value.field) == ("malformed", where)
 
     def test_requires_ordered_box(self):
         with pytest.raises(StructureError):

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -158,3 +159,39 @@ def test_run_suites_logs_one_line_per_suite(market_n6, caplog):
     assert lines[0].startswith("suite gradient: checks=3 failed=0 wall_s=")
     assert lines[1].startswith("suite duality: checks=2 failed=0 wall_s=")
     assert len(results) == 5
+
+
+@pytest.mark.parametrize("names, samples, seed, message", [
+    (["nope"], 10, 0, "unknown suite 'nope'"), ([None], 10, 0, "unknown suite None"),
+    (["duality"], 0, 0, "samples must be an integer >= 1, got 0"),
+    (["duality"], 10.0, 0, "samples must be an integer >= 1, got 10.0"),
+    (["duality"], True, 0, "samples must be an integer >= 1, got True"),
+    (["duality"], 10, -1, "seed must be an integer >= 0, got -1"),
+    (["duality"], 10, "0", "seed must be an integer >= 0, got '0'"),
+])
+def test_run_suites_rejects_bad_parameters(market_n6, names, samples, seed, message):
+    with pytest.raises(solvers.ConfigError, match=re.escape(message)):
+        verify.run_suites(names, market_n6, samples, seed)
+
+
+def test_sampling_and_bound_suites_in_process(market_n6):
+    results = verify.run_suites(("smoothness", "montecarlo", "bounds"), market_n6, 10**5, 0)
+    expected = (
+        [f"smoothness: consumer[{j}] {check}" for j in range(2)
+         for check in ("gradient lipschitz ratio", "conjugate convexity violation")]
+        + ["smoothness: market gradient lipschitz ratio"]
+        + [f"montecarlo: consumer[{j}] frequency gap" for j in range(2)]
+        + ["bounds: reference residual"]
+        + [f"bounds: {scheme} {check}" for scheme in ("basic", "accelerated")
+           for check in ("potential-gap bound slack", "final residual", "min excess supply",
+                         "complementarity")])
+    assert [f"{r.suite}: {r.name}" for r in results] == expected
+    assert [r for r in results if not r.ok] == []
+
+
+def test_reference_that_stopped_short_fails_bounds(market_n6, monkeypatch):
+    monkeypatch.setattr(verify, "reference_solve",
+                        lambda m: solvers.solve(m, solvers.SolverConfig(max_iters=10)))
+    results = _by_name(verify.run_suites(("bounds",), market_n6, 10, 0))
+    assert not results["reference residual"].ok
+    assert results["reference residual"].value > solvers.REFERENCE_TOL
