@@ -93,7 +93,11 @@ def real(value, field: str, shape: tuple | None = None) -> np.ndarray:
     real-valued data: each entry is a Python or numpy int or float, not a bool;
     text, None, a dict or a nested list is malformed, named as in `require`."""
     if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):  # those skip the scan
-        value = np.array(value, dtype=object)
+        try:
+            value = np.array(value, dtype=object)
+        except ValueError:  # arrays whose shapes differ past the first axis
+            raise StructureError("expected a number, got a ragged array",
+                                 CODE_MALFORMED, field) from None
         for i, e in enumerate(value.flat):
             if isinstance(e, bool) or not isinstance(e, (int, float, np.integer, np.floating)):
                 raise StructureError(f"expected a number, got {type(e).__name__}",

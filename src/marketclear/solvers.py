@@ -12,8 +12,11 @@ and differ only in their momentum b_t: 0 for plain projected gradient
 
 so b_1 = 0 as well. `solve` runs one loop for both: a zero momentum
 reuses z(p_t) from the previous iteration, any other calls the oracle
-at q_t. T iterations make T + 1 oracle calls under basic and 2T - 1
-(T >= 2) under accelerated; the closing log line reports the count.
+at q_t. The step and the stop test need z only, so the loop asks the
+oracle for z alone: T iterations make T + 1 single-point calls under
+basic and 2T - 1 (T >= 2) under accelerated. The trace's TER column is
+filled afterwards, 64 iterates per call of the batched `Market.ter`,
+so ceil(T / 64) more calls; the closing log line reports both counts.
 
 The extrapolated points q_t may leave the orthant; the potential and
 its gradient extend smoothly to all of R^n, so they are evaluated there
@@ -112,12 +115,24 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if self.step is not None and not self.step > 0:
-            raise ConfigError(f"step size must be positive, got {self.step}")
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+        if self.step is not None:
+            self.step = _real_option(self.step, "step", "step size")
+            if not self.step > 0:
+                raise ConfigError(f"step size must be positive, got {self.step}")
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral)
+                or self.max_iters < 1):
             raise ConfigError(f"max_iters must be an integer >= 1, got {self.max_iters}")
+        self.tol = _real_option(self.tol, "tol", "tolerance")
         if not 0 <= self.tol < math.inf:
             raise ConfigError(f"tolerance must be finite and >= 0, got {self.tol}")
+
+
+def _real_option(value, field: str, what: str) -> float:
+    """A scalar option as a float, by the package's rule of what a number is."""
+    try:
+        return float(real(value, field, ()))
+    except StructureError as exc:
+        raise ConfigError(f"{what} must be a number: {exc}") from exc
 
 
 @dataclass
@@ -125,7 +140,10 @@ class Trace:
     """Per-iteration solver record; row t describes the iterate p_t, t >= 1.
 
     grad_norm is the natural-map residual ||p_t - [p_t - z(p_t)]_+||_2,
-    the direct measure of the market-clearing conditions.
+    the direct measure of the market-clearing conditions. `solve` takes
+    the ter column from the batched `Market.ter` in blocks of iterates,
+    so it agrees with single-point TER(p_t) to 1e-12 * max(1, |TER|),
+    not bit for bit; the other columns come from the loop's own z.
     """
 
     scheme: str
@@ -200,34 +218,73 @@ def resolve_step(market: Market, step: float | None) -> float:
     return step
 
 
+# Rows per deferred TER call (see _Recorder). The block kernel's
+# temporaries grow with the rows priced at once: 256-row blocks raised the
+# peak RSS of the `clear` benchmark by about 1 MB, 64-row blocks did not.
+_TER_BLOCK = 64
+
+
 class _Recorder:
-    """Accumulates per-iteration rows and the divergence check."""
+    """Accumulates per-iteration rows and the divergence check.
 
-    def __init__(self, h: float):
+    A row recorded without its TER keeps a copy of its iterate; the TER
+    of such rows is filled in blocks of _TER_BLOCK, by one call of the
+    batched `ter` each, when a block is full and at `finish`.
+    """
+
+    def __init__(self, h: float, ter_of=None):
         self.h = h
-        self.rows: list[tuple[float, float, float, float, float]] = []
+        self.ter_of = ter_of  # batched TER over (R, n) price blocks
+        self.rows: list[tuple[float, float, float, float]] = []
+        self.ter: list[float] = []  # TER of rows[:len(ter)]
+        self.blocks = 0  # calls of ter_of
+        self.pending: np.ndarray | None = None  # iterates of rows[len(ter):]
 
-    def record(self, p: np.ndarray, z: np.ndarray, value: float,
+    def record(self, p: np.ndarray, z: np.ndarray, value: float | None = None,
                step: float | None = None) -> float:
-        """Append the row of iterate p, with z = z(p), value = TER(p) and
-        the step that reached it (default h), and return its clearing
-        residual."""
+        """Append the row of iterate p, with z = z(p), value = TER(p) or
+        None to defer it, and the step that reached it (default h), and
+        return its clearing residual."""
         t = len(self.rows) + 1
         residual, min_excess, complementarity = clearing_residuals(p, z)
         # a NaN or +-inf in p or z makes the residual or <p, z> non-finite:
         # z_i = +inf leaves the natural map finite but gives p_i * inf
         if not math.isfinite(residual + complementarity):
+            self._fill()  # a non-finite TER of an earlier row is reported first
             raise DivergedError(t)
-        if not math.isfinite(value):
-            raise DivergedError(t, "potential value (TER)")
-        self.rows.append((value, residual, min_excess, complementarity,
+        if value is not None:
+            self._fill()
+            self._append_ter(np.array([value]))
+        self.rows.append((residual, min_excess, complementarity,
                           self.h if step is None else step))
+        if value is None:
+            k = len(self.rows) - len(self.ter)  # rows waiting for their TER
+            if self.pending is None:
+                self.pending = np.empty((_TER_BLOCK, p.size))
+            self.pending[k - 1] = p
+            if k == _TER_BLOCK:
+                self._fill()
         return residual
 
+    def _fill(self) -> None:
+        """The TER of the rows recorded without one, in one batched call."""
+        k = len(self.rows) - len(self.ter)
+        if k:
+            self.blocks += 1
+            self._append_ter(self.ter_of(self.pending[:k]))
+
+    def _append_ter(self, values: np.ndarray) -> None:
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise DivergedError(len(self.ter) + 1 + int(bad.argmax()), "potential value (TER)")
+        self.ter.extend(values.tolist())
+
     def finish(self, scheme: str, price: np.ndarray, converged: bool) -> Trace:
-        # columns in row order: ter, grad_norm, min_excess, complementarity, steps
-        cols = np.array(self.rows).reshape(len(self.rows), 5).T
-        return Trace(scheme, self.h, *(c.copy() for c in cols), price.copy(), converged)
+        self._fill()
+        # columns in row order: grad_norm, min_excess, complementarity, steps
+        cols = np.array(self.rows).reshape(len(self.rows), 4).T
+        return Trace(scheme, self.h, np.array(self.ter), *(c.copy() for c in cols),
+                     price.copy(), converged)
 
 
 def solve(market: Market, config: SolverConfig | None = None) -> Trace:
@@ -244,13 +301,14 @@ def solve(market: Market, config: SolverConfig | None = None) -> Trace:
     _require_productive(market)
     h = resolve_step(market, config.step)
     p = _initial_prices(market, config.p0)
-    rec = _Recorder(h)
+    rec = _Recorder(h, market.ter)
     log.info("solve scheme=%s h=%g tol=%g max_iters=%d", config.scheme, h,
              config.tol, config.max_iters)
 
     momentum = itertools.repeat(0.0) if config.scheme == "basic" else _nesterov_momentum()
     # p is checked by _initial_prices and every iterate by the recorder,
-    # so the loop calls the market's unchecked oracle on one price vector
+    # so the loop calls the market's unchecked oracle on one price vector;
+    # the step needs z only, and the recorder fills in TER in blocks
     oracle = market._flat.kernel
     z = oracle(p, False, True)[1]
     evals = 1
@@ -265,16 +323,16 @@ def solve(market: Market, config: SolverConfig | None = None) -> Trace:
             evals += 1
         p_prev = p
         p = np.maximum(q - h * zq, 0.0)
-        value, z = oracle(p, True, True)
+        z = oracle(p, False, True)[1]
         evals += 1
-        if rec.record(p, z, value) <= config.tol:
+        if rec.record(p, z) <= config.tol:
             converged = True
             break
 
     trace = rec.finish(config.scheme, p, converged)
-    log.info("solve done: iters=%d converged=%s residual=%.3e oracle_evals=%d wall_s=%.3f",
-             trace.iterations, converged, trace.grad_norm[-1], evals,
-             time.perf_counter() - start)
+    log.info("solve done: iters=%d converged=%s residual=%.3e oracle_evals=%d ter_blocks=%d "
+             "wall_s=%.3f", trace.iterations, converged, trace.grad_norm[-1], evals,
+             rec.blocks, time.perf_counter() - start)
     return trace
 
 

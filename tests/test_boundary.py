@@ -11,10 +11,12 @@ import math
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 import marketclear as mc
 from marketclear import specio, verify
+from marketclear.nested_logit import real
 
 from conftest import SPEC_DIR
 
@@ -84,3 +86,12 @@ def test_junk_raises_only_marketclear_errors(name, data):
         call(data.draw(junk(n)))
     except mc.MarketclearError:
         pass
+
+
+@pytest.mark.parametrize("call, field", [(lambda x: real(x, "a"), "a"), (MARKET.ter, "prices")])
+def test_ragged_numpy_arrays_are_malformed(call, field):
+    # numpy cannot build an object array of arrays whose shapes differ
+    # past the first axis; that is malformed input like any ragged list
+    with pytest.raises(mc.StructureError) as err:
+        call([np.zeros(N), np.zeros((N, 3))])
+    assert err.value.code == "malformed" and err.value.field == field

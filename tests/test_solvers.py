@@ -116,6 +116,7 @@ class TestSolve:
         ("tol", float("nan")), ("tol", float("inf")), ("tol", -1e-8),
         ("step", float("nan")), ("step", 0.0), ("step", -0.1),
         ("max_iters", 2.5), ("max_iters", float("nan")),
+        ("step", "0.1"), ("tol", "1e-8"), ("tol", True), ("step", True), ("max_iters", True),
     ])
     def test_config_rejects_bad_tol_and_step(self, field, value):
         message = {"tol": "tolerance", "step": "step size", "max_iters": "max_iters"}[field]
@@ -203,11 +204,11 @@ class TestSolve:
         from marketclear.market import _FlatMarket
 
         kernel = _FlatMarket.kernel
-        calls = []
+        calls, blocks = [], []
 
-        def counting(self, *args):
-            calls.append(1)
-            return kernel(self, *args)
+        def counting(self, x, *args):
+            (calls if x.ndim == 1 else blocks).append(1)
+            return kernel(self, x, *args)
 
         monkeypatch.setattr(_FlatMarket, "kernel", counting)
         with caplog.at_level(logging.INFO, logger="marketclear.solvers"):
@@ -219,20 +220,25 @@ class TestSolve:
         # basic reuses z(p_t) at every step; accelerated at its first two,
         # where the momentum is zero
         assert len(calls) == (t + 1 if scheme == "basic" else 2 * t - 1)
+        # TER is priced afterwards, one block call per 64 iterates
+        assert len(blocks) == -(-t // 64)
         assert f"iters={t} " in done[0]
         assert f" oracle_evals={len(calls)} " in done[0]
+        assert f" ter_blocks={len(blocks)} " in done[0]
         wall = float(done[0].split("wall_s=")[1])
         assert 0.0 < wall < 60.0
 
     def test_single_point_oracle_matches_block_kernel(self, monkeypatch):
         # the solvers call the kernel on one price vector; a run that sends
         # each vector through the block branch as one column must give the
-        # same trace bit for bit
+        # same trace bit for bit (blocks of TER rows pass through as they are)
         from marketclear.market import _FlatMarket
 
         kernel = _FlatMarket.kernel
 
         def via_block(self, p, value, grad):
+            if p.ndim == 2:
+                return kernel(self, p, value, grad)
             ter, z = kernel(self, p[:, None], value, grad)
             return (ter[0] if value else None), (z[:, 0] if grad else None)
 
@@ -246,6 +252,68 @@ class TestSolve:
             for field in ("ter", "grad_norm", "min_excess", "complementarity", "steps", "price"):
                 np.testing.assert_array_equal(getattr(a, field), getattr(b, field), err_msg=field)
             assert a.converged == b.converged
+
+    @pytest.mark.parametrize("scheme", ["basic", "accelerated"])
+    @pytest.mark.parametrize("options", [{"max_iters": 7}, {"tol": 0.0, "max_iters": 128}, {}])
+    def test_deferred_ter_matches_each_iterate(self, monkeypatch, scheme, options):
+        # fewer rows than one block, exactly two blocks, and a converged
+        # run that ends inside a block; every row's TER is that of its iterate
+        record = solvers._Recorder.record
+        iterates = []
+
+        def keeping(self, p, *args, **kwargs):
+            iterates.append(p.copy())
+            return record(self, p, *args, **kwargs)
+
+        monkeypatch.setattr(solvers._Recorder, "record", keeping)
+        m = specio.load_market(SPEC_DIR / "market_n6.json")
+        trace = solve(m, SolverConfig(scheme=scheme, **options))
+        assert len(iterates) == trace.iterations
+        if options:
+            assert trace.iterations == options["max_iters"]
+        else:
+            assert trace.converged and trace.iterations % 64 != 0
+        single = np.array([m.ter(p) for p in iterates])
+        assert np.all(np.abs(trace.ter - single) <= 1e-12 * np.maximum(1.0, np.abs(single)))
+
+    def test_non_finite_ter_in_a_later_block_names_its_iteration(self, monkeypatch):
+        from marketclear.market import _FlatMarket
+        from marketclear.solvers import DivergedError
+
+        kernel = _FlatMarket.kernel
+        priced = []  # rows of TER priced so far
+
+        def overflowing_at_100(self, x, value, grad):
+            ter, z = kernel(self, x, value, grad)
+            if value and x.ndim == 2:
+                rows = len(priced) + np.arange(1, x.shape[1] + 1)
+                priced.extend(rows)
+                ter = np.where(rows == 100, -np.inf, ter)
+            return ter, z
+
+        monkeypatch.setattr(_FlatMarket, "kernel", overflowing_at_100)
+        m = specio.load_market(SPEC_DIR / "market_n6.json")
+        for scheme in ("basic", "accelerated"):
+            priced.clear()
+            with pytest.raises(DivergedError, match="TER.*iteration 100") as err:
+                solve(m, SolverConfig(scheme=scheme, tol=0.0, max_iters=300))
+            assert err.value.iteration == 100
+
+    def test_earlier_ter_failure_wins_over_a_later_iterate(self, single_good_market):
+        from marketclear.solvers import DivergedError
+
+        def ter(block):  # row 3 of the first block overflows
+            values = single_good_market.ter(block)
+            values[2] = np.inf
+            return values
+
+        rec = solvers._Recorder(0.1, ter)
+        p, z = np.array([1.0]), np.array([0.5])
+        for _ in range(4):
+            rec.record(p, z)
+        with pytest.raises(DivergedError, match=r"\(TER\) at iteration 3$") as err:
+            rec.record(np.array([np.nan]), z)
+        assert err.value.iteration == 3
 
 
 class TestConvergenceBounds:
