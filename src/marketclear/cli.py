@@ -34,12 +34,10 @@ def _setup_logging() -> None:
 
 def _cmd_gen(args) -> int:
     doc = specio.generate_market(args.n, args.consumers, args.suppliers, args.seed)
-    text = specio.dumps_document(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
+        specio.save_document(doc, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(specio.dumps_document(doc))
     return 0
 
 

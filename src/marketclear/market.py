@@ -53,7 +53,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .nested_logit import CODE_MALFORMED, NestStructure, check_array, real, require, require_finite
+from .nested_logit import (CODE_MALFORMED, NestStructure, check_array, integer, real, require,
+                           require_finite)
 from .supply import Supplier
 
 # Rows of a price block evaluated per kernel pass. The pass keeps
@@ -134,6 +135,7 @@ class Market:
     suppliers: tuple[Supplier, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", integer(self.n, "n", 1))
         object.__setattr__(self, "consumers", tuple(self.consumers))
         object.__setattr__(self, "suppliers", tuple(self.suppliers))
         for name in ("consumers", "suppliers"):

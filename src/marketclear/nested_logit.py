@@ -19,7 +19,6 @@ the last axis.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +111,14 @@ def real(value, field: str, shape: tuple | None = None) -> np.ndarray:
     return x
 
 
+def integer(value, field: str, least: int = 0) -> int:
+    """value as an int. The one rule for counts, sizes, seeds and indices: a Python
+    or numpy integer, not a bool, and >= least; anything else is malformed at field."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise StructureError(f"must be an integer >= {least}, got {value!r}", CODE_MALFORMED, field)
+    return int(value)
+
+
 def require_finite(**fields) -> None:
     """Raise a non-finite StructureError at the first NaN or infinite
     entry, or at the first entry of magnitude above MAX_MAGNITUDE."""
@@ -148,16 +155,14 @@ class NestStructure:
     mu: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        nests = []
-        for l, nest in enumerate(self.nests):
-            try:
-                nests.append(tuple(sorted(operator.index(i) for i in nest)))
-            except TypeError:
-                raise StructureError(f"members must be integer indices, got {nest!r}",
-                                     CODE_MALFORMED, f"nests[{l}]") from None
-        object.__setattr__(self, "nests", tuple(nests))
+        object.__setattr__(self, "n", integer(self.n, "n", 1))
+        try:
+            nests = tuple(tuple(sorted(integer(i, f"nests[{l}]") for i in nest))
+                          for l, nest in enumerate(self.nests))
+        except TypeError:  # nests, or one of them, is not a sequence
+            raise StructureError("expected sequences of indices", CODE_MALFORMED, "nests") from None
+        object.__setattr__(self, "nests", nests)
         object.__setattr__(self, "mu", tuple(real(self.mu, "mu", (len(nests),)).tolist()))
-        require(self.n >= 1, CODE_MALFORMED, "n", f"need at least one alternative, got {self.n}")
         require(len(self.nests) > 0, CODE_MALFORMED, "nests", "empty nest list")
         require_finite(mu=self.mu)
         seen: dict[int, int] = {}  # alternative -> its nest
@@ -186,7 +191,7 @@ class NestStructure:
     @classmethod
     def single(cls, n: int, mu: float = 1.0) -> "NestStructure":
         """One nest holding every alternative (multinomial logit for mu=1)."""
-        return cls(n, (tuple(range(n)),), (mu,))
+        return cls(n, (tuple(range(integer(n, "n", 1))),), (mu,))
 
     @property
     def n_nests(self) -> int:

@@ -30,13 +30,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nested_logit import DomainError, NestStructure, check_array, choice_probabilities
+from .nested_logit import (DomainError, NestStructure, StructureError, check_array,
+                           choice_probabilities, integer)
 
 # Batch size for streaming sample generation. Pinned: changing it
 # changes the deterministic sample streams.
 BATCH_SIZE = 1 << 16
 
 _TWO_53 = 1 << 53
+
+
+def _count(value, field: str, least: int = 0) -> int:
+    """A sample count, size or seed as an int, by the package's rule of what an integer is."""
+    try:
+        return integer(value, field, least)
+    except StructureError as exc:
+        raise DomainError(f"{field} {exc.message}") from exc
 
 
 def _open_uniform(rng: np.random.Generator, size=None) -> np.ndarray:
@@ -126,7 +135,7 @@ def positive_stable(alpha: float, rng: np.random.Generator, size=None):
 
 def sample_nested_errors(ns: NestStructure, rng: np.random.Generator, size: int | None = None):
     """Exact draws from the nested logit joint; shape (size, n) or (n,)."""
-    m = 1 if size is None else int(size)
+    m = 1 if size is None else _count(size, "size")
     eps = np.empty((m, ns.n))
     for nest, mu in zip(ns.nests, ns.mu):
         # nests are sorted; adjacent goods take a column slice, much cheaper
@@ -150,8 +159,7 @@ def _batches(ns: NestStructure, samples: int, seed: int):
 
 def monte_carlo_choice_frequencies(ns: NestStructure, v, samples: int, seed: int) -> np.ndarray:
     """Empirical frequency of argmax_i (v_i + eps_i) over exact joint draws."""
-    if samples < 1:
-        raise DomainError(f"need at least one sample, got {samples}")
+    samples, seed = _count(samples, "samples", 1), _count(seed, "seed")
     v = check_array(v, ns.n, "utilities")
     if v.ndim != 1:
         raise DomainError(f"utilities must have shape ({ns.n},)")
@@ -164,8 +172,7 @@ def monte_carlo_choice_frequencies(ns: NestStructure, v, samples: int, seed: int
 
 def empirical_error_covariance(ns: NestStructure, samples: int, seed: int) -> np.ndarray:
     """Sample covariance matrix of the error vector over exact draws."""
-    if samples < 2:
-        raise DomainError(f"need at least two samples, got {samples}")
+    samples, seed = _count(samples, "samples", 2), _count(seed, "seed")
     s1 = np.zeros(ns.n)
     s2 = np.zeros((ns.n, ns.n))
     for eps in _batches(ns, samples, seed):

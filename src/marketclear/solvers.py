@@ -48,7 +48,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import numbers
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -56,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .market import Market, clearing_residuals
-from .nested_logit import MarketclearError, StructureError, real
+from .nested_logit import DomainError, MarketclearError, StructureError, integer, real
 
 log = logging.getLogger("marketclear.solvers")
 
@@ -119,9 +118,7 @@ class SolverConfig:
             self.step = _real_option(self.step, "step", "step size")
             if not self.step > 0:
                 raise ConfigError(f"step size must be positive, got {self.step}")
-        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral)
-                or self.max_iters < 1):
-            raise ConfigError(f"max_iters must be an integer >= 1, got {self.max_iters}")
+        self.max_iters = integer_option(self.max_iters, "max_iters", 1)
         self.tol = _real_option(self.tol, "tol", "tolerance")
         if not 0 <= self.tol < math.inf:
             raise ConfigError(f"tolerance must be finite and >= 0, got {self.tol}")
@@ -133,6 +130,14 @@ def _real_option(value, field: str, what: str) -> float:
         return float(real(value, field, ()))
     except StructureError as exc:
         raise ConfigError(f"{what} must be a number: {exc}") from exc
+
+
+def integer_option(value, field: str, least: int) -> int:
+    """A count or seed option as an int, by the package's rule of what an integer is."""
+    try:
+        return integer(value, field, least)
+    except StructureError as exc:
+        raise ConfigError(f"{field} {exc.message}") from exc
 
 
 @dataclass
@@ -418,6 +423,9 @@ def fit_rate(trace, ter_star: float) -> float:
     A slope near -1 is the plain projected-gradient rate, near -2 the
     accelerated rate. Requires at least 50 qualifying iterations.
     """
+    ter_star = float(real(ter_star, "ter_star", ()))
+    if not math.isfinite(ter_star):
+        raise DomainError(f"ter_star must be finite, got {ter_star}")
     ter = np.asarray(trace.ter, dtype=float)
     mask = qualifying_window(ter, ter_star)
     if mask.sum() < 50:

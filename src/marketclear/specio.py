@@ -10,8 +10,9 @@ A market spec is a JSON document
                     "base_cost": {"kind": "linear", "c": [...]}}]}
 
 with 1-based alternative indices in `members` (converted to 0-based
-internally). The reader checks only the document's shape; the market
-constructors check the values, numbers included, and their errors are
+internally). The reader checks the document's shape, and `$.n` and
+`members` by `nested_logit.integer` because it needs them first; the
+market constructors check the other values, and all their errors are
 reported here at the field's document path. Documents are serialized
 canonically (sorted keys, 2-space indent, full-precision floats) so that
 generate -> write -> parse -> write is byte-identical.
@@ -39,6 +40,7 @@ from .nested_logit import (  # the CODE_* names are re-exported
     MarketclearError,
     NestStructure,
     StructureError,
+    integer,
 )
 from .supply import Supplier
 
@@ -102,10 +104,8 @@ def _parse_consumer(doc: Any, n: int, path: str) -> ConsumerType:
         npath = f"{path}.nests[{l}]"
         nest_doc = _mapping(nest_doc, npath)
         raw = _array(_key(nest_doc, "members", npath), f"{npath}.members")
-        for i, x in enumerate(raw):
-            _require(isinstance(x, int) and not isinstance(x, bool), CODE_MALFORMED,
-                     f"{npath}.members[{i}]", "expected an integer index")
-        members.append(tuple(x - 1 for x in raw))  # 1-based on disk
+        members.append(tuple(_build(integer, npath, value=x, field=f"members[{i}]", least=1) - 1
+                             for i, x in enumerate(raw)))  # 1-based on disk
         mus.append(_key(nest_doc, "mu", npath))
     nests = _build(NestStructure, path, n=n, nests=tuple(members), mu=tuple(mus))
     return _build(ConsumerType, path, count=count, a=a, nests=nests)
@@ -131,10 +131,7 @@ def _parse_supplier(doc: Any, n: int, path: str) -> Supplier:
 def market_from_document(doc: Any) -> Market:
     """Validate a spec document and build the Market it describes."""
     doc = _mapping(doc, "$")
-    n_raw = _key(doc, "n", "$")
-    _require(isinstance(n_raw, int) and not isinstance(n_raw, bool) and n_raw >= 1,
-             CODE_MALFORMED, "$.n", f"expected a positive integer, got {n_raw!r}")
-    n = int(n_raw)
+    n = _build(integer, "$", value=_key(doc, "n", "$"), field="n", least=1)
     consumers = tuple(
         _parse_consumer(c, n, f"$.consumers[{j}]")
         for j, c in enumerate(_array(_key(doc, "consumers", "$"), "$.consumers"))
@@ -220,8 +217,7 @@ def random_nest_structure(n: int, rng: np.random.Generator) -> NestStructure:
             mus.append(1.0)
         else:
             mus.append(float(rng.uniform(0.2, 1.0)))
-    return NestStructure(n, tuple(tuple(int(i) for i in piece) for piece in pieces),
-                         tuple(mus))
+    return NestStructure(n, tuple(tuple(piece) for piece in pieces), tuple(mus))
 
 
 def generate_market(n: int, n_consumers: int, n_suppliers: int, seed: int) -> dict:
@@ -231,11 +227,12 @@ def generate_market(n: int, n_consumers: int, n_suppliers: int, seed: int) -> di
     total population, which guarantees the productivity check passes.
     Scale parameters fall in [0.2, 1], observable utilities in [-2, 2].
     """
-    args = (n, n_consumers, n_suppliers, seed)
-    if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 0
-               for k in args) or min(args[:3]) < 1:
-        raise SpecError(CODE_MALFORMED, "$", "n, consumer and supplier counts must all be "
-                        f"integers >= 1 and the seed an integer >= 0, got {args}")
+    try:
+        n, n_consumers, n_suppliers, seed = (integer(*arg) for arg in (
+            (n, "n", 1), (n_consumers, "n_consumers", 1), (n_suppliers, "n_suppliers", 1),
+            (seed, "seed")))
+    except StructureError as exc:
+        raise SpecError(CODE_MALFORMED, "$", str(exc)) from exc
     rng = np.random.default_rng(seed)
     consumers = []
     for _ in range(n_consumers):
@@ -267,8 +264,8 @@ def batch_market(slot: int) -> dict:
     """Spec document of the acceptance-batch market at slot: generated
     with seed slot, its goods (6-20), consumer types and suppliers (1-5
     each) drawn from default_rng(1000 + slot)."""
-    dims = np.random.default_rng(1000 + slot)
-    n, j, k = (int(dims.integers(lo, hi)) for lo, hi in ((6, 21), (1, 6), (1, 6)))
+    dims = np.random.default_rng(1000 + integer(slot, "slot"))
+    n, j, k = (dims.integers(lo, hi) for lo, hi in ((6, 21), (1, 6), (1, 6)))
     return generate_market(n, j, k, seed=slot)
 
 

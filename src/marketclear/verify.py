@@ -29,7 +29,7 @@ from .nested_logit import (
     surplus,
 )
 from .solvers import (FD_STEP, REFERENCE_TOL, ConfigError, SolverConfig, fd_gradient,
-                      reference_solve, solve)
+                      integer_option, reference_solve, solve)
 
 log = logging.getLogger("marketclear.verify")
 
@@ -258,14 +258,13 @@ _SUITE_FNS = {
 
 
 def run_suites(names, market: Market, samples: int, seed: int) -> list[CheckResult]:
-    """Run the named suites in canonical order and pool their checks; a
-    ConfigError for a name not in SUITES, samples < 1, seed < 0 or a non-integer."""
+    """Run the named suites (or the one named) in canonical order and pool their checks;
+    a ConfigError for a name not in SUITES, samples < 1, seed < 0 or a non-integer."""
+    names = (names,) if isinstance(names, str) else names
     for name in names:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
-    for what, value, least in (("samples", samples, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
+    samples, seed = integer_option(samples, "samples", 1), integer_option(seed, "seed", 0)
     logging_info = log.isEnabledFor(logging.INFO)
     results = []
     for name in SUITES:

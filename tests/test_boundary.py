@@ -3,9 +3,12 @@
 The README promises that every error the package raises on bad input
 subclasses MarketclearError. Each entry point below takes one junk
 value in place of one argument, either whole or as one entry of an
-otherwise valid vector; any other exception fails the test.
+otherwise valid vector; any other exception fails the test. Every count,
+size, seed and index argument is also held to the one integer rule
+with its field named.
 """
 
+import copy
 import dataclasses
 import math
 
@@ -25,12 +28,13 @@ CONSUMER = MARKET.consumers[0]
 NESTS = CONSUMER.nests
 SUPPLIER = MARKET.suppliers[0]
 N = MARKET.n
+TRACE = mc.solve(MARKET, mc.SolverConfig(max_iters=60))
 
-# text, bools, None, dicts, NaN and infinities, and ragged lists; no integers,
-# which generate_market would take as (possibly huge) counts
+# text, bools, None, dicts, NaN, infinities, finite floats and ragged lists; no
+# integers, which generate_market would take as (possibly huge) counts
 ENTRIES = st.one_of(
     st.text(max_size=4), st.binary(max_size=2), st.booleans(), st.none(),
-    st.sampled_from([math.nan, math.inf, -math.inf, np.bool_(True)]),
+    st.sampled_from([math.nan, math.inf, -math.inf, np.bool_(True), 2.5, 3.0]),
     st.dictionaries(st.text(max_size=2), st.floats(), max_size=2),
     st.lists(st.floats(-2.0, 2.0), max_size=3),
 )
@@ -75,11 +79,27 @@ ENTRY_POINTS = {
     **{f"generate_market.{i}": (lambda x, i=i: specio.generate_market(
         *(x if j == i else 2 for j in range(3)), seed=0), None) for i in range(3)},
     "generate_market.seed": (lambda x: specio.generate_market(2, 1, 1, seed=x), None),
+    "batch_market.slot": (specio.batch_market, None),
+    "NestStructure.n": (lambda x: mc.NestStructure(x, NESTS.nests, NESTS.mu), None),
+    "NestStructure.nests": (lambda x: mc.NestStructure(N, x, NESTS.mu), NESTS.n_nests),
+    "Market.n": (lambda x: mc.Market(x, MARKET.consumers, MARKET.suppliers), None),
+    "SolverConfig.max_iters": (lambda x: mc.SolverConfig(max_iters=x), None),
+    **{f"SolverConfig.{field}": (lambda x, field=field: mc.solve(
+        MARKET, mc.SolverConfig(max_iters=1, **{field: x})), None) for field in ("step", "tol")},
+    "monte_carlo_choice_frequencies.samples": (
+        lambda x: mc.monte_carlo_choice_frequencies(NESTS, CONSUMER.a, x, 0), None),
+    "monte_carlo_choice_frequencies.seed": (
+        lambda x: mc.monte_carlo_choice_frequencies(NESTS, CONSUMER.a, 10, x), None),
+    "empirical_error_covariance.samples": (
+        lambda x: mc.empirical_error_covariance(NESTS, x, 0), None),
+    "sample_nested_errors.size": (
+        lambda x: mc.sample_nested_errors(NESTS, np.random.default_rng(0), x), None),
+    "fit_rate.ter_star": (lambda x: mc.fit_rate(TRACE, x), None),
 }
 
 
 @given(st.sampled_from(sorted(ENTRY_POINTS)), st.data())
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=900, deadline=None)
 def test_junk_raises_only_marketclear_errors(name, data):
     call, n = ENTRY_POINTS[name]
     try:
@@ -95,3 +115,72 @@ def test_ragged_numpy_arrays_are_malformed(call, field):
     with pytest.raises(mc.StructureError) as err:
         call([np.zeros(N), np.zeros((N, 3))])
     assert err.value.code == "malformed" and err.value.field == field
+
+
+SPEC3 = specio.generate_market(3, 1, 1, seed=0)
+MARKET3 = specio.market_from_document(SPEC3)
+
+
+def _spec(n=3, members=3):
+    """market_from_document on a three-good spec with the given $.n and
+    last nest member (1-based)."""
+    doc = copy.deepcopy(SPEC3)
+    doc["n"] = n
+    doc["consumers"][0]["nests"] = [{"members": [1, 2], "mu": 0.5},
+                                    {"members": [members], "mu": 1.0}]
+    return specio.market_from_document(doc)
+
+# field -> (call with one integer argument, the error class, the message prefix
+# that names the field); every call accepts np.int64(3)
+INTEGER_FIELDS = {
+    "NestStructure.n": (lambda x: mc.NestStructure(x, ((0, 1), (2,)), (0.5, 1.0)),
+                        mc.StructureError, "n: "),
+    "NestStructure.nests": (lambda x: mc.NestStructure(4, ((0, 1, 2), (x,)), (0.5, 1.0)),
+                            mc.StructureError, "nests[1]: "),
+    "Market.n": (lambda x: mc.Market(x, MARKET3.consumers, MARKET3.suppliers),
+                 mc.StructureError, "n: "),
+    "SolverConfig.max_iters": (lambda x: mc.SolverConfig(max_iters=x), mc.ConfigError,
+                               "max_iters "),
+    "run_suites.samples": (lambda x: verify.run_suites("duality", MARKET3, x, 0),
+                           mc.ConfigError, "samples "),
+    "run_suites.seed": (lambda x: verify.run_suites("duality", MARKET3, 10, x),
+                        mc.ConfigError, "seed "),
+    "monte_carlo_choice_frequencies.samples": (
+        lambda x: mc.monte_carlo_choice_frequencies(NESTS, CONSUMER.a, x, 0),
+        mc.DomainError, "samples "),
+    "monte_carlo_choice_frequencies.seed": (
+        lambda x: mc.monte_carlo_choice_frequencies(NESTS, CONSUMER.a, 10, x),
+        mc.DomainError, "seed "),
+    "empirical_error_covariance.samples": (
+        lambda x: mc.empirical_error_covariance(NESTS, x, 0), mc.DomainError, "samples "),
+    "empirical_error_covariance.seed": (
+        lambda x: mc.empirical_error_covariance(NESTS, 10, x), mc.DomainError, "seed "),
+    "sample_nested_errors.size": (
+        lambda x: mc.sample_nested_errors(NESTS, np.random.default_rng(0), x),
+        mc.DomainError, "size "),
+    **{f"generate_market.{field}": (
+        lambda x, i=i: specio.generate_market(*(x if j == i else 2 for j in range(4))),
+        specio.SpecError, f"$: {field}: ") for i, field in enumerate(
+            ("n", "n_consumers", "n_suppliers", "seed"))},
+    "batch_market.slot": (specio.batch_market, mc.StructureError, "slot: "),
+    "spec.n": (lambda x: _spec(n=x), specio.SpecError, "$.n: "),
+    "spec.members": (lambda x: _spec(members=x), specio.SpecError,
+                     "$.consumers[0].nests[1].members[0]: "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_FIELDS))
+def test_integer_fields_follow_one_rule(name):
+    call, error, prefix = INTEGER_FIELDS[name]
+    # size=None is sample_nested_errors' single draw
+    for value in (2.5, 3.0, True, np.True_, "3") + (() if name.endswith("size") else (None,)):
+        with pytest.raises(error) as err:
+            call(value)
+        message = str(err.value)
+        assert message.startswith(prefix + "must be an integer >= "), message
+        assert f", got {value!r}" in message, message
+        if error is specio.SpecError:
+            assert err.value.code == "malformed"
+        if error is mc.StructureError:
+            assert (err.value.code, err.value.field) == ("malformed", prefix[:-2])
+    call(np.int64(3))

@@ -230,6 +230,14 @@ class TestRate:
         r = run_cli("rate", "--trace", "nope.csv", "--ter-star", "0.0")
         assert r.returncode == 1
 
+    @pytest.mark.parametrize("ter_star", ["nan", "inf"])
+    def test_non_finite_ter_star(self, tmp_path, ter_star):
+        path = tmp_path / "t.csv"
+        self._write_power_law_trace(path)
+        r = run_cli("rate", "--trace", str(path), f"--ter-star={ter_star}")
+        assert r.returncode == 1
+        assert r.stderr == f"error: ter_star must be finite, got {ter_star}\n"
+
     def test_solver_trace_end_to_end(self, tmp_path):
         trace_path = tmp_path / "run.csv"
         r = run_cli("solve", "--market", MARKET_N6, "--trace", str(trace_path))

@@ -81,7 +81,7 @@ class TestNestStructure:
         with pytest.raises(StructureError):
             NestStructure(2, ((0, 2),), (0.5,))
         for nests in (((0, 1.7), (2,)), (("0", "1"), (2,))):  # int() would take both
-            with pytest.raises(StructureError, match="integer indices") as err:
+            with pytest.raises(StructureError, match="must be an integer >= 0") as err:
                 NestStructure(3, nests, (1.0, 1.0))
             assert (err.value.code, err.value.field) == ("malformed", "nests[0]")
 

@@ -145,6 +145,7 @@ class TestNestedErrors:
         eps = sample_nested_errors(ns, np.random.default_rng(0))
         assert eps.shape == (4,)
         assert np.all(np.isfinite(eps))
+        assert sample_nested_errors(ns, np.random.default_rng(0), size=0).shape == (0, 4)
 
 
 class TestChoiceFrequencies:

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import logging
+import math
+import re
 
 import hypothesis.strategies as st
 import numpy as np
@@ -358,6 +360,19 @@ class TestRateFit:
         trace = self._synthetic(1.0 / np.arange(1, 31))
         with pytest.raises(RateFitError):
             fit_rate(trace, 0.0)
+
+    @pytest.mark.parametrize("ter_star, error, message", [
+        ("x", mc.StructureError, "ter_star: expected a number, got str"),
+        (None, mc.StructureError, "ter_star: expected a number, got NoneType"),
+        (True, mc.StructureError, "ter_star: expected a number, got bool"),
+        (math.nan, mc.DomainError, "ter_star must be finite, got nan"),
+        (-math.inf, mc.DomainError, "ter_star must be finite, got -inf"),
+    ])
+    def test_ter_star_is_a_finite_number(self, ter_star, error, message):
+        trace = self._synthetic(3.0 / np.arange(1, 101))
+        with pytest.raises(error, match=re.escape(message)):
+            fit_rate(trace, ter_star)
+        assert fit_rate(trace, np.int64(0)) == pytest.approx(-1.0, abs=0.01)
 
     def test_scheme_rates_on_a_market(self):
         m = small_market(6, n=8)

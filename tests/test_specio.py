@@ -228,7 +228,7 @@ class TestRoundTrip:
         (3.0, 1, 1, 0), (3, 1, 1, "7"), (3, True, 1, 0), (3, 1, 1, None),
     ])
     def test_generate_rejects_bad_parameters(self, args):
-        with pytest.raises(specio.SpecError, match="integers >= 1") as err:
+        with pytest.raises(specio.SpecError, match="must be an integer >= [01]") as err:
             specio.generate_market(*args)
         assert (err.value.code, err.value.path) == (specio.CODE_MALFORMED, "$")
 

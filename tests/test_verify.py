@@ -174,6 +174,12 @@ def test_run_suites_rejects_bad_parameters(market_n6, names, samples, seed, mess
         verify.run_suites(names, market_n6, samples, seed)
 
 
+def test_one_suite_name_is_not_iterated(market_n6):
+    results = verify.run_suites("duality", market_n6, 10, 0)
+    assert [r.suite for r in results] == ["duality", "duality"]
+    assert [r for r in results if not r.ok] == []
+
+
 def test_sampling_and_bound_suites_in_process(market_n6):
     results = verify.run_suites(("smoothness", "montecarlo", "bounds"), market_n6, 10**5, 0)
     expected = (
