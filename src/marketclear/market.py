@@ -39,15 +39,14 @@ compute only their own half.
 The solvers check their start prices once and then call the kernel
 directly, without the input checks of the public methods.
 `clearing_residuals` computes the natural-map residual, min z and
-<p, z> of one price vector for `Market.equilibrium_residual` and the
-solver records alike. The public per-type functions of `nested_logit`
-keep their own per-nest code and serve as the independent oracle this
-layout is tested against.
+<p, z> of one price vector or of each row of a block, for
+`Market.equilibrium_residual` and the solver records alike. The public
+per-type functions of `nested_logit` keep their own per-nest code and
+serve as the independent oracle this layout is tested against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -101,11 +100,14 @@ class EquilibriumResidual:
     grad_norm: float
 
 
-def clearing_residuals(p: np.ndarray, z: np.ndarray) -> tuple[float, float, float]:
-    """Natural-map residual ||p - [p - z]_+||_2, min_i z_i and <p, z> of
-    one price vector p with excess supply z."""
+def clearing_residuals(p: np.ndarray, z: np.ndarray):
+    """Natural-map residual ||p - [p - z]_+||_2, min_i z_i and <p, z> of a
+    price vector p with excess supply z, or of each row of an (R, n) block
+    of them, as arrays of shape (R,). A row gives the same bits alone as
+    in any block."""
     natural = p - np.maximum(p - z, 0.0)
-    return math.sqrt(np.dot(natural, natural)), float(z.min()), float(np.dot(p, z))
+    residual = np.sqrt(np.einsum("...i,...i->...", natural, natural))
+    return residual, z.min(axis=-1), np.einsum("...i,...i->...", p, z)
 
 
 @dataclass(frozen=True)
@@ -227,7 +229,7 @@ class Market:
         p = check_array(p, self.n, "prices", nonnegative=True)
         require(p.ndim == 1, CODE_MALFORMED, "prices", f"shape {p.shape}, expected ({self.n},)")
         z = self._flat.kernel(p, False, True)[1]
-        grad_norm, min_excess, complementarity = clearing_residuals(p, z)
+        grad_norm, min_excess, complementarity = map(float, clearing_residuals(p, z))
         return EquilibriumResidual(min_excess=min_excess, complementarity=complementarity,
                                    grad_norm=grad_norm)
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .nested_logit import (DomainError, NestStructure, StructureError, check_array,
-                           choice_probabilities, integer)
+                           choice_probabilities, integer, real)
 
 # Batch size for streaming sample generation. Pinned: changing it
 # changes the deterministic sample streams.
@@ -46,6 +46,16 @@ def _count(value, field: str, least: int = 0) -> int:
         return integer(value, field, least)
     except StructureError as exc:
         raise DomainError(f"{field} {exc.message}") from exc
+
+
+def _size(size):
+    """A numpy size argument, None or a count or a tuple of counts, by the
+    package's rule of what an integer is."""
+    if size is None:
+        return None
+    if isinstance(size, tuple):
+        return tuple(_count(k, f"size[{i}]") for i, k in enumerate(size))
+    return _count(size, "size")
 
 
 def _open_uniform(rng: np.random.Generator, size=None) -> np.ndarray:
@@ -65,6 +75,7 @@ def _gumbel_inplace(u: np.ndarray) -> np.ndarray:
 
 def standard_gumbel(rng: np.random.Generator, size=None):
     """Standard Gumbel(0, 1) via the inverse CDF -ln(-ln U)."""
+    size = _size(size)
     g = _gumbel_inplace(_open_uniform(rng, 1 if size is None else size))
     return g[0] if size is None else g
 
@@ -126,8 +137,13 @@ def positive_stable(alpha: float, rng: np.random.Generator, size=None):
     evaluated as exp of ``_log_stable``. The distribution has no closed
     density; it is validated through its Laplace transform.
     """
+    try:
+        alpha = float(real(alpha, "alpha", ()))
+    except StructureError as exc:
+        raise DomainError(f"alpha: {exc.message}") from exc
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"stable exponent must lie in (0, 1), got {alpha}")
+    size = _size(size)
     shape = 1 if size is None else size
     s = np.exp(_log_stable(alpha, _open_uniform(rng, shape), _open_uniform(rng, shape)))
     return s[0] if size is None else s
@@ -141,7 +157,7 @@ def sample_nested_errors(ns: NestStructure, rng: np.random.Generator, size: int 
         # nests are sorted; adjacent goods take a column slice, much cheaper
         # to write than a fancy index
         idx = slice(nest[0], nest[-1] + 1) if nest[-1] - nest[0] == len(nest) - 1 else list(nest)
-        g = standard_gumbel(rng, (m, len(nest)))
+        g = _gumbel_inplace(_open_uniform(rng, (m, len(nest))))
         if mu != 1.0:
             u = _open_uniform(rng, 2 * m)  # phi's uniforms, then W's
             g += _log_stable(mu, u[:m], u[m:])[:, None]

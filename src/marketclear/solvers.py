@@ -10,13 +10,19 @@ and differ only in their momentum b_t: 0 for plain projected gradient
 
     b_t = (g_t - 1) / g_{t+1},   g_1 = 1,   g_{t+1} = (1 + sqrt(1 + 4 g_t^2)) / 2,
 
-so b_1 = 0 as well. `solve` runs one loop for both: a zero momentum
-reuses z(p_t) from the previous iteration, any other calls the oracle
-at q_t. The step and the stop test need z only, so the loop asks the
-oracle for z alone: T iterations make T + 1 single-point calls under
-basic and 2T - 1 (T >= 2) under accelerated. The trace's TER column is
-filled afterwards, 64 iterates per call of the batched `Market.ter`,
-so ceil(T / 64) more calls; the closing log line reports both counts.
+so b_1 = 0 as well. `solve` runs one loop for both, in blocks of 64
+iterations. Inside a block it computes only what the step needs: under
+basic z(p_t), which the previous iteration already computed, and under
+accelerated z(q_t), which is z(p_t) at the zero-momentum iterations
+t = 0 and t = 1. At the end of a block one batched call prices all of
+its iterates (`Market.ter` under basic, whose z the loop already has,
+`Market.value_and_grad` under accelerated), and one call of
+`clearing_residuals` gives the stop test and every trace column. The
+first row whose residual is at most tol ends the solve, and the rows
+after it are dropped. With T the iterations kept and T' those run (T
+rounded up to a multiple of 64, at most max_iters), basic makes T' + 1
+single-point oracle calls and accelerated T', and both make ceil(T / 64)
+block calls; the trace and the closing log line report both counts.
 
 The extrapolated points q_t may leave the orthant; the potential and
 its gradient extend smoothly to all of R^n, so they are evaluated there
@@ -146,9 +152,20 @@ class Trace:
 
     grad_norm is the natural-map residual ||p_t - [p_t - z(p_t)]_+||_2,
     the direct measure of the market-clearing conditions. `solve` takes
-    the ter column from the batched `Market.ter` in blocks of iterates,
-    so it agrees with single-point TER(p_t) to 1e-12 * max(1, |TER|),
-    not bit for bit; the other columns come from the loop's own z.
+    the ter column from batched calls, 64 iterates each, so it agrees
+    with single-point TER(p_t) to 1e-12 * max(1, |TER|), not bit for
+    bit; z comes from the single-point oracle under basic and from the
+    batched one under accelerated, which give the same bits.
+
+    The run itself: `oracle_evals` single-point oracle calls (T' + 1
+    under basic and T' under accelerated, T' the iterations run: the
+    rows kept rounded up to a multiple of 64, at most max_iters) and
+    `blocks` batched calls (one per 64 rows kept), its `wall_s`, and why
+    it stopped, `stop`: "tol" or "max_iters". A reference solve counts
+    its line-search points in `oracle_evals` and its Hessians, one
+    batched call on 2n rows each, in `blocks`, and stops with "no_step"
+    when no step is acceptable. A trace not made by a solver (a test's,
+    or one read back from a file) keeps the defaults.
     """
 
     scheme: str
@@ -160,6 +177,10 @@ class Trace:
     steps: np.ndarray
     price: np.ndarray
     converged: bool = False
+    oracle_evals: int = 0
+    blocks: int = 0
+    wall_s: float = 0.0
+    stop: str | None = None
 
     @property
     def iterations(self) -> int:
@@ -223,73 +244,75 @@ def resolve_step(market: Market, step: float | None) -> float:
     return step
 
 
-# Rows per deferred TER call (see _Recorder). The block kernel's
-# temporaries grow with the rows priced at once: 256-row blocks raised the
-# peak RSS of the `clear` benchmark by about 1 MB, 64-row blocks did not.
+# Iterations per block of `solve`, and rows per batched call. The block
+# kernel's temporaries grow with the rows priced at once: 256-row blocks
+# raised the peak RSS of the `clear` benchmark by about 1 MB, 64-row
+# blocks did not.
 _TER_BLOCK = 64
 
 
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True entry of mask, or len(mask) if there is none."""
+    return int(mask.argmax()) if mask.any() else len(mask)
+
+
 class _Recorder:
-    """Accumulates per-iteration rows and the divergence check.
+    """The trace's rows, appended a block of iterates at a time, and the
+    divergence checks."""
 
-    A row recorded without its TER keeps a copy of its iterate; the TER
-    of such rows is filled in blocks of _TER_BLOCK, by one call of the
-    batched `ter` each, when a block is full and at `finish`.
-    """
-
-    def __init__(self, h: float, ter_of=None):
+    def __init__(self, h: float, price_block=None):
         self.h = h
-        self.ter_of = ter_of  # batched TER over (R, n) price blocks
-        self.rows: list[tuple[float, float, float, float]] = []
-        self.ter: list[float] = []  # TER of rows[:len(ter)]
-        self.blocks = 0  # calls of ter_of
-        self.pending: np.ndarray | None = None  # iterates of rows[len(ter):]
+        # (R, n) iterates -> (TER (R,), z (R, n) or None), one batched call
+        self.price_block = price_block
+        self.cols: list[tuple[np.ndarray, ...]] = []  # per block, in Trace's column order
+        self.iterations = 0  # rows kept
+        self.blocks = 0  # calls of price_block
+        self.last: np.ndarray | None = None  # the iterate of the last row kept
 
-    def record(self, p: np.ndarray, z: np.ndarray, value: float | None = None,
-               step: float | None = None) -> float:
-        """Append the row of iterate p, with z = z(p), value = TER(p) or
-        None to defer it, and the step that reached it (default h), and
-        return its clearing residual."""
-        t = len(self.rows) + 1
-        residual, min_excess, complementarity = clearing_residuals(p, z)
-        # a NaN or +-inf in p or z makes the residual or <p, z> non-finite:
-        # z_i = +inf leaves the natural map finite but gives p_i * inf
-        if not math.isfinite(residual + complementarity):
-            self._fill()  # a non-finite TER of an earlier row is reported first
-            raise DivergedError(t)
-        if value is not None:
-            self._fill()
-            self._append_ter(np.array([value]))
-        self.rows.append((residual, min_excess, complementarity,
-                          self.h if step is None else step))
+    def record(self, p: np.ndarray, z: np.ndarray | None = None,
+               value: np.ndarray | None = None, steps: np.ndarray | None = None,
+               tol: float = -1.0) -> bool:
+        """Append the rows of the iterates p, shape (R, n), up to the first
+        whose clearing residual is <= tol, and return whether there was one.
+
+        z (R, n) and value (R,) are the excess supply and TER of each
+        row. Without a value, the rows before the first non-finite
+        iterate are priced by one call of `price_block`, which also
+        gives z if it is not given; later rows are never priced. steps
+        holds the step that reached each row (default h). Raises
+        DivergedError at the first kept row whose iterate or z is not
+        finite, or whose TER is not; where both fail on one row, the
+        iterate is reported.
+        """
+        rows = len(p)
+        ok = _first(~np.isfinite(p).all(axis=1))  # rows before the first non-finite iterate
         if value is None:
-            k = len(self.rows) - len(self.ter)  # rows waiting for their TER
-            if self.pending is None:
-                self.pending = np.empty((_TER_BLOCK, p.size))
-            self.pending[k - 1] = p
-            if k == _TER_BLOCK:
-                self._fill()
-        return residual
-
-    def _fill(self) -> None:
-        """The TER of the rows recorded without one, in one batched call."""
-        k = len(self.rows) - len(self.ter)
-        if k:
             self.blocks += 1
-            self._append_ter(self.ter_of(self.pending[:k]))
+            value, priced = self.price_block(p[:ok])
+            z = priced if z is None else z
+        residual, min_excess, complementarity = clearing_residuals(p[:ok], z[:ok])
+        # a NaN or +-inf in z makes the residual or <p, z> non-finite:
+        # z_i = +inf leaves the natural map finite but gives p_i * inf
+        bad = np.append(~np.isfinite(residual + complementarity), ok < rows)
+        stop = residual <= tol  # a bad row that meets tol is still reported below
+        kept = _first(stop) + 1 if stop.any() else rows
+        bad_iterate, bad_ter = _first(bad[:kept]), _first(~np.isfinite(value[:kept]))
+        if bad_iterate < kept and bad_iterate <= bad_ter:
+            raise DivergedError(self.iterations + bad_iterate + 1)
+        if bad_ter < kept:
+            raise DivergedError(self.iterations + bad_ter + 1, "potential value (TER)")
+        steps = np.full(kept, self.h) if steps is None else steps[:kept]
+        self.cols.append((value[:kept], residual[:kept], min_excess[:kept],
+                          complementarity[:kept], steps))
+        self.iterations += kept
+        self.last = p[kept - 1].copy()
+        return bool(stop.any())
 
-    def _append_ter(self, values: np.ndarray) -> None:
-        bad = ~np.isfinite(values)
-        if bad.any():
-            raise DivergedError(len(self.ter) + 1 + int(bad.argmax()), "potential value (TER)")
-        self.ter.extend(values.tolist())
-
-    def finish(self, scheme: str, price: np.ndarray, converged: bool) -> Trace:
-        self._fill()
-        # columns in row order: grad_norm, min_excess, complementarity, steps
-        cols = np.array(self.rows).reshape(len(self.rows), 4).T
-        return Trace(scheme, self.h, np.array(self.ter), *(c.copy() for c in cols),
-                     price.copy(), converged)
+    def finish(self, scheme: str, converged: bool, **run) -> Trace:
+        """The trace of the rows kept, ending at the last one's iterate;
+        `run` fills the Trace fields that describe the run."""
+        cols = (np.concatenate(c) for c in zip(*self.cols))
+        return Trace(scheme, self.h, *cols, self.last, converged, **run)
 
 
 def solve(market: Market, config: SolverConfig | None = None) -> Trace:
@@ -306,38 +329,58 @@ def solve(market: Market, config: SolverConfig | None = None) -> Trace:
     _require_productive(market)
     h = resolve_step(market, config.step)
     p = _initial_prices(market, config.p0)
-    rec = _Recorder(h, market.ter)
+    basic = config.scheme == "basic"
+    rec = _Recorder(h, (lambda block: (market.ter(block), None)) if basic
+                    else market.value_and_grad)
     log.info("solve scheme=%s h=%g tol=%g max_iters=%d", config.scheme, h,
              config.tol, config.max_iters)
 
-    momentum = itertools.repeat(0.0) if config.scheme == "basic" else _nesterov_momentum()
-    # p is checked by _initial_prices and every iterate by the recorder,
-    # so the loop calls the market's unchecked oracle on one price vector;
-    # the step needs z only, and the recorder fills in TER in blocks
+    momentum = itertools.repeat(0.0) if basic else _nesterov_momentum()
+    # p is checked by _initial_prices and every iterate before the oracle
+    # sees it, so the loop calls the market's unchecked oracle on one price
+    # vector for z alone; the recorder prices each block afterwards
     oracle = market._flat.kernel
+    iterates = np.empty((_TER_BLOCK, market.n))
+    excess = np.empty((_TER_BLOCK, market.n)) if basic else None
     z = oracle(p, False, True)[1]
     evals = 1
     p_prev = p
-    converged = False
-    for beta in itertools.islice(momentum, config.max_iters):
-        if beta == 0.0:
-            q, zq = p, z
-        else:  # q may sit outside the orthant; z extends there
-            q = p + beta * (p - p_prev)
-            zq = oracle(q, False, True)[1]
-            evals += 1
-        p_prev = p
-        p = np.maximum(q - h * zq, 0.0)
-        z = oracle(p, False, True)[1]
-        evals += 1
-        if rec.record(p, z) <= config.tol:
-            converged = True
-            break
+    run = 0  # iterations run
+    stopped = False
+    while not stopped and run < config.max_iters:
+        rows = min(_TER_BLOCK, config.max_iters - run)
+        for k, beta in zip(range(rows), momentum):
+            if beta == 0.0:
+                if z is None:  # accelerated at t = 1: z(p_1) is needed now
+                    z = oracle(p, False, True)[1]
+                    evals += 1
+                q, zq = p, z
+            else:  # q may sit outside the orthant; z extends there
+                q = p + beta * (p - p_prev)
+                zq = oracle(q, False, True)[1]
+                evals += 1
+            p_prev = p
+            p = np.maximum(q - h * zq, 0.0)
+            iterates[k] = p
+            if not math.isfinite(p.max()):  # the recorder reports this row
+                rows = k + 1
+                break
+            if basic:  # z(p_{t+1}), for this row and the next step
+                z = oracle(p, False, True)[1]
+                excess[k] = z
+                evals += 1
+            else:
+                z = None
+        run += rows
+        stopped = rec.record(iterates[:rows], None if excess is None else excess[:rows],
+                             tol=config.tol)
 
-    trace = rec.finish(config.scheme, p, converged)
-    log.info("solve done: iters=%d converged=%s residual=%.3e oracle_evals=%d ter_blocks=%d "
-             "wall_s=%.3f", trace.iterations, converged, trace.grad_norm[-1], evals,
-             rec.blocks, time.perf_counter() - start)
+    trace = rec.finish(config.scheme, stopped, oracle_evals=evals, blocks=rec.blocks,
+                       wall_s=time.perf_counter() - start,
+                       stop="tol" if stopped else "max_iters")
+    log.info("solve done: iters=%d converged=%s stop=%s residual=%.3e oracle_evals=%d "
+             "ter_blocks=%d wall_s=%.3f", trace.iterations, trace.converged, trace.stop,
+             trace.grad_norm[-1], trace.oracle_evals, trace.blocks, trace.wall_s)
     return trace
 
 
@@ -364,15 +407,18 @@ def reference_solve(market: Market, p0: np.ndarray | None = None) -> Trace:
     trace is Newton iterate t and `steps` holds its accepted step
     length; when no step is taken (the start meets REFERENCE_TOL, or no
     step is acceptable) the start is recorded as one row with step 0.
-    `converged` is true only at a residual <= REFERENCE_TOL.
+    `converged` is true only at a residual <= REFERENCE_TOL. The trace
+    counts line-search points in `oracle_evals` and Hessians in `blocks`.
     """
+    start = time.perf_counter()
     _require_productive(market)
     p = _initial_prices(market, p0)
     rec = _Recorder(1.0)
     value, z = market.value_and_grad(p)
     r = clearing_residuals(p, z)[0]
     evals, hessians = 1, 0
-    while r > REFERENCE_TOL and len(rec.rows) < REFERENCE_MAX_ITERS:
+    stop = "max_iters"
+    while r > REFERENCE_TOL and rec.iterations < REFERENCE_MAX_ITERS:
         hess = _fd_hessian(market, p)
         hessians += 1
         lam = min(r, _LEVENBERG_MAX)
@@ -395,16 +441,20 @@ def reference_solve(market: Market, p0: np.ndarray | None = None) -> Trace:
                 break
             alpha *= 0.5
         else:
-            break  # no acceptable step along the arc
+            stop = "no_step"  # no acceptable step along the arc
+            break
         p, value, z, r = trial, t_value, t_z, t_r
-        rec.record(p, z, value, step=alpha)
-    if not rec.rows:  # the start met the tolerance, or its first search failed
-        rec.record(p, z, value, step=0.0)
-    converged = r <= REFERENCE_TOL
+        rec.record(p[None], z[None], np.array([value]), np.array([alpha]))
+    if not rec.iterations:  # the start met the tolerance, or its first search failed
+        rec.record(p[None], z[None], np.array([value]), np.zeros(1))
+    converged = bool(r <= REFERENCE_TOL)
+    trace = rec.finish("reference", converged, oracle_evals=evals, blocks=hessians,
+                       wall_s=time.perf_counter() - start,
+                       stop="tol" if converged else stop)
     log.info("reference done: newton_iters=%d oracle_evals=%d hessian_rows=%d "
-             "residual=%.3e converged=%s", len(rec.rows), evals,
-             2 * market.n * hessians, r, converged)
-    return rec.finish("reference", p, converged)
+             "residual=%.3e converged=%s stop=%s", trace.iterations, trace.oracle_evals,
+             2 * market.n * trace.blocks, trace.grad_norm[-1], trace.converged, trace.stop)
+    return trace
 
 
 def qualifying_window(ter_values: np.ndarray, ter_star: float) -> np.ndarray:

@@ -3,8 +3,10 @@
 Each suite runs on a concrete market and returns measured values with
 the bound they must satisfy. Oracles are independent of the code paths
 they check: central finite differences for gradients, Monte Carlo for
-choice probabilities and correlations, and a projected Newton reference
-solve, which runs neither pricing scheme, for the convergence bounds.
+choice probabilities and correlations, the per-agent functions of
+`nested_logit` and `supply` for the market's fused kernel, and a
+projected Newton reference solve, which runs neither pricing scheme, for
+the convergence bounds.
 `fd_gradient` and its step FD_STEP live in `solvers`, whose reference
 solve takes its Hessian with them, and are imported here unchanged.
 """
@@ -30,6 +32,7 @@ from .nested_logit import (
 )
 from .solvers import (FD_STEP, REFERENCE_TOL, ConfigError, SolverConfig, fd_gradient,
                       integer_option, reference_solve, solve)
+from .supply import best_response, profit
 
 log = logging.getLogger("marketclear.verify")
 
@@ -76,8 +79,22 @@ def gradient_error(ns: NestStructure, v: np.ndarray) -> float:
     return float(np.max(np.abs(q - fd)) / np.max(np.abs(q)))
 
 
+def _per_agent_oracle(market: Market, p: np.ndarray) -> tuple[float, np.ndarray]:
+    """TER and z at p summed agent by agent, from the per-type functions
+    that share no code with the market's fused kernel:
+    sum_k profit_k + sum_j count_j E_j(a_j - p), and
+    sum_k y_k - sum_j count_j x_j(a_j - p)."""
+    ter = sum(profit(s, p) for s in market.suppliers)
+    z = sum(best_response(s, p) for s in market.suppliers)
+    for ct in market.consumers:
+        ter += ct.count * surplus(ct.nests, ct.a - p)
+        z -= ct.count * choice_probabilities(ct.nests, ct.a - p)
+    return ter, z
+
+
 def suite_gradient(market: Market, samples: int, seed: int) -> list[CheckResult]:
-    """Choice probabilities and excess supply against finite differences."""
+    """Choice probabilities and excess supply against finite differences,
+    and the market's kernel against the per-agent functions."""
     rng = np.random.default_rng(seed)
     results = []
     # np.max, unlike Python's max, lets a NaN measurement through to the check
@@ -87,14 +104,22 @@ def suite_gradient(market: Market, samples: int, seed: int) -> list[CheckResult]
             for _ in range(20)
         ])
         results.append(_check("gradient", f"consumer[{j}] surplus gradient", err, FD_RTOL))
-    errs = []
+    errs, ter_errs, z_errs = [], [], []
     for _ in range(20):
         p = rng.uniform(0.0, 5.0, market.n)
         z = market.ter_gradient(p)
         fd = fd_gradient(market.ter, p)
         errs.append(np.max(np.abs(z - fd)) / max(1.0, np.max(np.abs(z))))
+        ter, z_sum = _per_agent_oracle(market, p)
+        ter_errs.append(abs(market.ter(p) - ter) / max(1.0, abs(ter)))
+        z_errs.append(np.max(np.abs(z - z_sum)) / max(1.0, np.max(np.abs(z_sum))))
     results.append(_check("gradient", "market excess supply", np.max(errs), FD_RTOL))
+    results.append(_check("gradient", "market potential vs per-agent sum",
+                          np.max(ter_errs), FD_RTOL))
+    results.append(_check("gradient", "market excess supply vs per-agent sum",
+                          np.max(z_errs), FD_RTOL))
     return results
+
 
 
 def suite_duality(market: Market, samples: int, seed: int) -> list[CheckResult]:

@@ -95,6 +95,10 @@ ENTRY_POINTS = {
     "sample_nested_errors.size": (
         lambda x: mc.sample_nested_errors(NESTS, np.random.default_rng(0), x), None),
     "fit_rate.ter_star": (lambda x: mc.fit_rate(TRACE, x), None),
+    "standard_gumbel.size": (lambda x: mc.standard_gumbel(np.random.default_rng(0), x), None),
+    "positive_stable.alpha": (lambda x: mc.positive_stable(x, np.random.default_rng(0)), None),
+    "positive_stable.size": (
+        lambda x: mc.positive_stable(0.5, np.random.default_rng(0), x), None),
 }
 
 
@@ -158,6 +162,10 @@ INTEGER_FIELDS = {
     "sample_nested_errors.size": (
         lambda x: mc.sample_nested_errors(NESTS, np.random.default_rng(0), x),
         mc.DomainError, "size "),
+    "standard_gumbel.size": (lambda x: mc.standard_gumbel(np.random.default_rng(0), x),
+                             mc.DomainError, "size "),
+    "positive_stable.size": (lambda x: mc.positive_stable(0.5, np.random.default_rng(0), x),
+                             mc.DomainError, "size "),
     **{f"generate_market.{field}": (
         lambda x, i=i: specio.generate_market(*(x if j == i else 2 for j in range(4))),
         specio.SpecError, f"$: {field}: ") for i, field in enumerate(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 import marketclear as mc
 from marketclear import specio
-from marketclear.market import _CHUNK_ROWS
+from marketclear.market import _CHUNK_ROWS, clearing_residuals
 from marketclear.solvers import SolverConfig, reference_solve, solve
 from marketclear.verify import fd_gradient
 
@@ -206,6 +206,17 @@ class TestEquilibriumResidual:
         with pytest.raises(mc.StructureError, match=re.escape(f"prices: shape {shape}")):
             m.equilibrium_residual(np.ones(shape))
 
+    @given(st.integers(1, 20), st.integers(1, 64), st.integers(0, 2**31))
+    @settings(max_examples=30, deadline=None)
+    def test_block_rows_equal_single_rows(self, n, rows, seed):
+        # the solver records a block of iterates at a time; each row must
+        # read as equilibrium_residual's single vector does
+        rng = np.random.default_rng(seed)
+        p, z = rng.uniform(0.0, 5.0, (rows, n)), rng.normal(size=(rows, n))
+        block = clearing_residuals(p, z)
+        for r in range(rows):
+            assert [col[r] for col in block] == list(clearing_residuals(p[r], z[r]))
+
     def test_converged_run_has_small_residuals(self, six_good_market):
         trace = solve(six_good_market, SolverConfig(scheme="accelerated"))
         r = six_good_market.equilibrium_residual(trace.price)
@@ -373,6 +384,18 @@ def test_kernel_vector_equals_one_column_block(n, n_types, n_suppliers, seed, da
                 assert np.ndim(ter) == 0 and ter == ter_b[0]
             if grad:
                 np.testing.assert_array_equal(z, z_b[:, 0])
+
+
+@given(st.integers(1, 20), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**31),
+       st.integers(1, 64))
+@settings(max_examples=30, deadline=None)
+def test_block_z_equals_vector_z(n, n_types, n_suppliers, seed, rows):
+    # the accelerated scheme's trace takes z from a block of iterates, its
+    # steps from single vectors; both must give the same bits
+    m = specio.market_from_document(specio.generate_market(n, n_types, n_suppliers, seed))
+    p = np.random.default_rng(seed).uniform(-1.0, 5.0, (rows, n))
+    np.testing.assert_array_equal(m.value_and_grad(p)[1],
+                                  [m._flat.kernel(x, False, True)[1] for x in p])
 
 
 @pytest.mark.parametrize("scheme", ["basic", "accelerated"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,25 @@ class TestStandardGumbel:
         assert np.all(np.isfinite(g))
 
 
+    @pytest.mark.parametrize("size, message", [
+        (2.5, "size must be an integer >= 0, got 2.5"),
+        (-1, "size must be an integer >= 0, got -1"),
+        ((2, 2.5), "size[1] must be an integer >= 0, got 2.5"),
+        ([2, 2], "size must be an integer >= 0, got [2, 2]"),
+    ])
+    def test_rejects_bad_size(self, size, message):
+        for draw in (lambda: standard_gumbel(np.random.default_rng(0), size),
+                     lambda: positive_stable(0.5, np.random.default_rng(0), size)):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                draw()
+
+    def test_numpy_integer_sizes(self):
+        g = standard_gumbel(np.random.default_rng(0), (np.int64(2), 3))
+        assert g.shape == (2, 3)
+        np.testing.assert_array_equal(
+            g.ravel(), standard_gumbel(np.random.default_rng(0), np.int64(6)))
+
+
 class TestPositiveStable:
     def test_laplace_transform_half(self):
         s = positive_stable(0.5, np.random.default_rng(1), 10**6)
@@ -62,6 +82,11 @@ class TestPositiveStable:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5])
     def test_rejects_bad_exponent(self, alpha):
         with pytest.raises(DomainError):
+            positive_stable(alpha, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("alpha", ["x", None, True, [0.5]])
+    def test_exponent_must_be_a_number(self, alpha):
+        with pytest.raises(DomainError, match="alpha: expected a number"):
             positive_stable(alpha, np.random.default_rng(0))
 
     def test_seed_regression(self):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 
 import marketclear as mc
 from marketclear import solvers, specio
+from marketclear.market import clearing_residuals
 from marketclear.solvers import (
     REFERENCE_MAX_ITERS,
     REFERENCE_TOL,
@@ -137,6 +138,7 @@ class TestSolve:
         trace = solve(single_good_market, SolverConfig(max_iters=3))
         assert not trace.converged
         assert trace.iterations == 3
+        assert trace.stop == "max_iters"
 
     def test_trace_feasible_iterates(self, six_good_market):
         trace = solve(six_good_market, SolverConfig(scheme="basic"))
@@ -170,14 +172,20 @@ class TestSolve:
         from marketclear.solvers import DivergedError, _Recorder
 
         # z_i = +inf leaves the natural-map residual finite; <p, z> catches it
+        # the bad row closes a one-row block, or sits second in a two-row one
         for bad_p, bad_z in [(np.inf, 0.0), (np.nan, 0.0), (1.0, np.inf), (0.0, np.inf),
                              (1.0, -np.inf), (1.0, np.nan)]:
             rec = _Recorder(0.1)
-            p = np.array([1.0])
-            rec.record(p, np.array([0.5]), single_good_market.ter(p))
+            p = np.array([[1.0]])
+            rec.record(p, np.array([[0.5]]), single_good_market.ter(p))
             with (pytest.raises(DivergedError, match="non-finite iterate at iteration 2") as err,
                   np.errstate(invalid="ignore")):
-                rec.record(np.array([bad_p, 1.0]), np.array([bad_z, 0.5]), 0.0)
+                rec.record(np.array([[bad_p, 1.0]]), np.array([[bad_z, 0.5]]), np.zeros(1))
+            assert err.value.iteration == 2
+            with (pytest.raises(DivergedError, match="non-finite iterate at iteration 2") as err,
+                  np.errstate(invalid="ignore")):
+                _Recorder(0.1).record(np.array([[1.0, 1.0], [bad_p, 1.0]]),
+                                      np.array([[0.5, 0.5], [bad_z, 0.5]]), np.zeros(2))
             assert err.value.iteration == 2
 
     def test_divergence_guard_rejects_non_finite_ter(self, monkeypatch):
@@ -219,16 +227,21 @@ class TestSolve:
         assert len(done) == 1
         t = trace.iterations
         assert trace.converged and t >= 2
-        # basic reuses z(p_t) at every step; accelerated at its first two,
-        # where the momentum is zero
-        assert len(calls) == (t + 1 if scheme == "basic" else 2 * t - 1)
-        # TER is priced afterwards, one block call per 64 iterates
+        # the loop runs whole blocks of 64 iterations; basic computes z(p_t)
+        # once per iterate, p_0 included, and accelerated z(q_t) once per
+        # step, which is z(p_t) at the first two, where the momentum is zero
+        run = min(-(-t // 64) * 64, SolverConfig().max_iters)
+        assert len(calls) == (run + 1 if scheme == "basic" else run)
+        # each block's iterates are priced by one batched call
         assert len(blocks) == -(-t // 64)
+        assert (trace.oracle_evals, trace.blocks, trace.stop) == (len(calls), len(blocks), "tol")
         assert f"iters={t} " in done[0]
+        assert " stop=tol " in done[0]
         assert f" oracle_evals={len(calls)} " in done[0]
         assert f" ter_blocks={len(blocks)} " in done[0]
         wall = float(done[0].split("wall_s=")[1])
         assert 0.0 < wall < 60.0
+        assert f"wall_s={trace.wall_s:.3f}" in done[0]
 
     def test_single_point_oracle_matches_block_kernel(self, monkeypatch):
         # the solvers call the kernel on one price vector; a run that sends
@@ -264,18 +277,21 @@ class TestSolve:
         iterates = []
 
         def keeping(self, p, *args, **kwargs):
-            iterates.append(p.copy())
+            iterates.extend(p.copy())  # one block of iterates
             return record(self, p, *args, **kwargs)
 
         monkeypatch.setattr(solvers._Recorder, "record", keeping)
         m = specio.load_market(SPEC_DIR / "market_n6.json")
         trace = solve(m, SolverConfig(scheme=scheme, **options))
-        assert len(iterates) == trace.iterations
+        t = trace.iterations
+        # the loop runs whole blocks; the rows after the stop are dropped
+        assert len(iterates) == min(-(-t // 64) * 64, SolverConfig(**options).max_iters)
         if options:
-            assert trace.iterations == options["max_iters"]
+            assert t == options["max_iters"]
         else:
-            assert trace.converged and trace.iterations % 64 != 0
-        single = np.array([m.ter(p) for p in iterates])
+            assert trace.converged and t % 64 != 0
+        np.testing.assert_array_equal(trace.price, iterates[t - 1])
+        single = np.array([m.ter(p) for p in iterates[:t]])
         assert np.all(np.abs(trace.ter - single) <= 1e-12 * np.maximum(1.0, np.abs(single)))
 
     def test_non_finite_ter_in_a_later_block_names_its_iteration(self, monkeypatch):
@@ -304,18 +320,133 @@ class TestSolve:
     def test_earlier_ter_failure_wins_over_a_later_iterate(self, single_good_market):
         from marketclear.solvers import DivergedError
 
-        def ter(block):  # row 3 of the first block overflows
+        def ter(block):  # row 3 of the block overflows
             values = single_good_market.ter(block)
             values[2] = np.inf
-            return values
+            return values, None
 
         rec = solvers._Recorder(0.1, ter)
-        p, z = np.array([1.0]), np.array([0.5])
-        for _ in range(4):
-            rec.record(p, z)
+        p = np.array([[1.0]] * 4 + [[np.nan]])
         with pytest.raises(DivergedError, match=r"\(TER\) at iteration 3$") as err:
-            rec.record(np.array([np.nan]), z)
+            rec.record(p, np.full((5, 1), 0.5))
         assert err.value.iteration == 3
+
+
+    @pytest.mark.parametrize("ter_row, iterate_row, stop_row, expected", [
+        (3, 5, None, (3, "TER")), (5, 3, None, (3, "iterate")), (3, 3, None, (3, "iterate")),
+        (3, 5, 2, None), (None, 5, 5, (5, "iterate")), (None, None, 2, None),
+    ])
+    def test_first_failure_among_kept_rows_is_reported(self, ter_row, iterate_row, stop_row,
+                                                        expected):
+        # rows 1..6 of one block: a TER that overflows, a non-finite iterate
+        # and a row that meets the tolerance, each at a given row or nowhere
+        from marketclear.solvers import DivergedError
+
+        p, z = np.ones((6, 1)), np.full((6, 1), 0.5)  # residual 0.5 on every row
+        if stop_row:
+            z[stop_row - 1] = 0.0
+        if iterate_row:
+            p[iterate_row - 1] = np.nan
+        priced = []
+
+        def ter(block):
+            priced.append(len(block))
+            values = np.zeros(len(block))
+            if ter_row and ter_row <= len(block):
+                values[ter_row - 1] = -np.inf
+            return values, None
+
+        rec = solvers._Recorder(0.1, ter)
+        if expected is None:
+            assert rec.record(p, z, tol=0.1)
+            trace = rec.finish("basic", True)
+            assert trace.iterations == stop_row
+            np.testing.assert_array_equal(trace.grad_norm, [0.5] * (stop_row - 1) + [0.0])
+        else:
+            with pytest.raises(DivergedError, match=f"{expected[1]}.* at iteration "
+                               f"{expected[0]}$") as err:
+                rec.record(p, z, tol=0.1)
+            assert err.value.iteration == expected[0]
+        # the rows from a non-finite iterate on are never priced
+        assert priced == [iterate_row - 1 if iterate_row else 6]
+
+    def test_a_diverged_row_never_stops(self):
+        # z_i = +inf at p_i = 0 leaves the natural map at 0, so the residual
+        # meets any tol; <p, z> = 0 * inf marks the row as diverged
+        from marketclear.solvers import DivergedError
+
+        rec = solvers._Recorder(0.1, lambda block: (np.zeros(len(block)), None))
+        p, z = np.ones((3, 1)), np.full((3, 1), 0.5)
+        p[1], z[1] = 0.0, np.inf
+        with pytest.raises(DivergedError, match="non-finite iterate at iteration 2$"):
+            rec.record(p, z, tol=0.1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 8), j=st.integers(1, 3), k=st.integers(1, 3),
+           seed=st.integers(0, 10_000), scheme=st.sampled_from(["basic", "accelerated"]),
+           max_iters=st.sampled_from([1, 2, 63, 64, 65, 128]),
+           tol=st.sampled_from([0.0, 1e-3, 1e-1]))
+    def test_blocked_loop_matches_a_plain_loop(self, n, j, k, seed, scheme, max_iters, tol):
+        m = specio.market_from_document(specio.generate_market(n, j, k, seed=seed))
+        _assert_matches_plain_loop(m, SolverConfig(scheme=scheme, max_iters=max_iters, tol=tol))
+
+    @pytest.mark.parametrize("scheme, market, row", [
+        ("basic", "market_n6", 64), ("basic", "market_n6", 128), ("accelerated", "n4", 64)])
+    def test_stop_on_the_last_row_of_a_block(self, scheme, market, row):
+        m = (specio.load_market(SPEC_DIR / "market_n6.json") if market == "market_n6" else
+             specio.market_from_document(specio.generate_market(4, 2, 2, seed=0)))
+        free = solve(m, SolverConfig(scheme=scheme, tol=0.0, max_iters=row))
+        tol = free.grad_norm[-1]
+        assert free.grad_norm[:-1].min() > tol  # row is the first to meet tol
+        trace = _assert_matches_plain_loop(m, SolverConfig(scheme=scheme, tol=tol))
+        assert trace.converged and trace.iterations == row and trace.stop == "tol"
+        # no speculative iterate was run past the block
+        assert trace.oracle_evals == (row + 1 if scheme == "basic" else row)
+        assert trace.blocks == row // 64
+
+
+def _plain_loop(market: mc.Market, config: SolverConfig):
+    """The pricing loop without blocks: one single-point z per step, and
+    the residual, stop test and TER of each iterate taken as it comes."""
+    h = 1.0 / market.smoothness_constant()
+    p = p_prev = np.zeros(market.n)
+    z = market.ter_gradient(p)
+    gamma, rows, converged = 1.0, [], False
+    for t in range(config.max_iters):
+        beta = 0.0
+        if config.scheme == "accelerated" and t >= 1:
+            g, gamma = gamma, gamma_next(gamma)
+            beta = (g - 1.0) / gamma
+        if beta == 0.0:
+            q, zq = p, z
+        else:
+            q = p + beta * (p - p_prev)
+            zq = market.ter_gradient(q)
+        p_prev, p = p, np.maximum(q - h * zq, 0.0)
+        z = market.ter_gradient(p)
+        residual, min_excess, complementarity = clearing_residuals(p, z)
+        rows.append((market.ter(p), residual, min_excess, complementarity))
+        if residual <= config.tol:
+            converged = True
+            break
+    return np.array(rows).T, p, converged, h
+
+
+def _assert_matches_plain_loop(market: mc.Market, config: SolverConfig) -> Trace:
+    """solve's trace against _plain_loop: the same rows, price and step bit
+    for bit, and TER, residual and <p, z> to 1e-12 * max(1, |x|)."""
+    trace = solve(market, config)
+    cols, price, converged, h = _plain_loop(market, config)
+    ter, residual, min_excess, complementarity = cols
+    assert trace.iterations == len(ter)
+    assert trace.converged == converged
+    np.testing.assert_array_equal(trace.price, price)
+    np.testing.assert_array_equal(trace.min_excess, min_excess)
+    np.testing.assert_array_equal(trace.steps, np.full(len(ter), h))
+    for got, want in ((trace.ter, ter), (trace.grad_norm, residual),
+                      (trace.complementarity, complementarity)):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    return trace
 
 
 class TestConvergenceBounds:
@@ -409,6 +540,33 @@ class TestReferenceSolve:
         assert len(done) == 1
         assert f"newton_iters={ref.iterations} " in done[0]
         assert "oracle_evals=" in done[0] and "residual=" in done[0]
+
+    def test_trace_counts_the_run(self, six_good_market, caplog, monkeypatch):
+        points, hessians = [], []
+        value_and_grad, fd_hessian = mc.Market.value_and_grad, solvers._fd_hessian
+
+        def counting_point(self, p):
+            points.append(1)
+            return value_and_grad(self, p)
+
+        def counting_hessian(market, p):
+            hessians.append(1)
+            return fd_hessian(market, p)
+
+        monkeypatch.setattr(mc.Market, "value_and_grad", counting_point)
+        monkeypatch.setattr(solvers, "_fd_hessian", counting_hessian)
+        with caplog.at_level(logging.INFO, logger="marketclear.solvers"):
+            ref = reference_solve(six_good_market)
+        assert (ref.oracle_evals, ref.blocks, ref.stop) == (len(points), len(hessians), "tol")
+        assert 0.0 < ref.wall_s < 60.0
+        done = [r.getMessage() for r in caplog.records if "reference done" in r.getMessage()]
+        assert f" oracle_evals={len(points)} " in done[0]
+        assert f" hessian_rows={2 * six_good_market.n * len(hessians)} " in done[0]
+        assert f" residual={ref.grad_norm[-1]:.3e} " in done[0]
+        # a search that finds no acceptable step stops the solve at the start
+        monkeypatch.setattr(solvers, "_MAX_HALVINGS", 0)
+        stuck = reference_solve(six_good_market)
+        assert (stuck.iterations, stuck.converged, stuck.stop) == (1, False, "no_step")
 
     def test_start_at_the_optimum_records_one_row(self, six_good_market):
         ref = reference_solve(six_good_market)

@@ -151,14 +151,45 @@ class TestGradientSuite:
         assert results["market excess supply"].ok
 
 
+class TestKernelAudit:
+    NAMES = ("market potential vs per-agent sum", "market excess supply vs per-agent sum")
+
+    @pytest.mark.parametrize("market", ["market_n6.json", "single_good.json"]
+                             + [f"batch{slot}" for slot in range(20)])
+    def test_passes(self, market):
+        m = (specio.load_market(str(SPEC_DIR / market)) if market.endswith(".json") else
+             specio.market_from_document(specio.batch_market(int(market[5:]))))
+        results = _by_name(verify.suite_gradient(m, 0, 0))
+        for name in self.NAMES:
+            assert results[name].ok and results[name].bound == verify.FD_RTOL, results[name]
+
+    @pytest.mark.parametrize("half, name", [(0, NAMES[0]), (1, NAMES[1])])
+    def test_a_wrong_kernel_fails(self, market_n6, monkeypatch, half, name):
+        # one half of the kernel off by 1e-5 relative; the per-agent sums are not
+        from marketclear.market import _FlatMarket
+
+        kernel = _FlatMarket.kernel
+
+        def skewed(self, x, value, grad):
+            out = list(kernel(self, x, value, grad))
+            if out[half] is not None:
+                out[half] = out[half] * (1.0 + 1e-5)
+            return tuple(out)
+
+        monkeypatch.setattr(_FlatMarket, "kernel", skewed)
+        results = _by_name(verify.suite_gradient(market_n6, 0, 0))
+        assert not results[name].ok
+        assert results[self.NAMES[1 - half]].ok
+
+
 def test_run_suites_logs_one_line_per_suite(market_n6, caplog):
     with caplog.at_level(logging.INFO, logger="marketclear.verify"):
         results = verify.run_suites(("duality", "gradient"), market_n6, 1000, 0)
     lines = [r.getMessage() for r in caplog.records if r.name == "marketclear.verify"]
     assert len(lines) == 2
-    assert lines[0].startswith("suite gradient: checks=3 failed=0 wall_s=")
+    assert lines[0].startswith("suite gradient: checks=5 failed=0 wall_s=")
     assert lines[1].startswith("suite duality: checks=2 failed=0 wall_s=")
-    assert len(results) == 5
+    assert len(results) == 7
 
 
 @pytest.mark.parametrize("names, samples, seed, message", [
