@@ -322,5 +322,5 @@ class _FlatMarket:
             else:
                 demand = w.take(self.inverse, axis=0).reshape(
                     self.n_types, -1, x.shape[1]).sum(axis=0)
-            z = y.sum(axis=0) - demand
+            z = np.add.reduce(y, 0) - demand
         return ter, z

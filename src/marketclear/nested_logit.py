@@ -13,8 +13,10 @@ conjugate is the generalized entropy
 
 Everything is evaluated through per-nest log-sum-exp (the raw formula
 overflows for moderate v / mu), so values are safe for |v_i| <= 700.
-All functions accept batched utilities of shape (..., n) and operate on
-the last axis.
+All functions accept batched utilities of shape (..., n) and return
+shapes (...) or (..., n). `surplus` and `choice_probabilities` work
+goods-major: on the transposed view v.T, each nest is one row gather of
+shape (L, ...), reduced along axis 0 at once for every evaluation point.
 """
 
 from __future__ import annotations
@@ -219,18 +221,23 @@ class SmoothnessModuli:
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:
-    # stable log-sum-exp along the last axis; inputs are always finite
-    # here, so the max subtraction never produces nan
-    m = x.max(axis=-1)
-    return m + np.log(np.exp(x - m[..., None]).sum(axis=-1))
+    # stable log-sum-exp along axis 0, the goods axis of a goods-major
+    # block; inputs are always finite here, so the max subtraction never
+    # produces nan
+    m = np.maximum.reduce(x, 0)
+    return m + np.log(np.add.reduce(np.exp(x - m), 0))
 
 
-def _inclusive_values(ns: NestStructure, v: np.ndarray) -> np.ndarray:
-    """Per-nest log-attractiveness mu_l * ln sum_{i in N_l} exp(v_i / mu_l)."""
-    iv = np.empty(v.shape[:-1] + (ns.n_nests,))
-    for l, (idx, mu) in enumerate(zip(ns._idx, ns.mu)):
-        iv[..., l] = mu * _logsumexp(v[..., idx] / mu)
-    return iv
+def _nests(ns: NestStructure, v: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Goods-major per-nest scaled utilities w_l = v_{N_l} / mu_l, each of
+    shape (L, ...), and the inclusive values mu_l * ln sum exp(w_l), stacked
+    as (n_nests, ...)."""
+    vt = v.T
+    w = [vt[idx] / mu for idx, mu in zip(ns._idx, ns.mu)]
+    iv = np.empty((ns.n_nests,) + vt.shape[1:])
+    for l, (wl, mu) in enumerate(zip(w, ns.mu)):
+        iv[l] = mu * _logsumexp(wl)
+    return w, iv
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
@@ -240,9 +247,14 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
 
 
 def surplus(ns: NestStructure, v) -> float | np.ndarray:
-    """Expected maximum utility E(v); shape (...,) for v of shape (..., n)."""
+    """Expected maximum utility E(v); shape (...,) for v of shape (..., n).
+
+    A row of a batched call can differ from a single-point call in the
+    last bits when a nest holds 8 or more goods: numpy sums a 1-D array
+    pairwise, and the columns of a block sequentially.
+    """
     v = check_array(v, ns.n, "utilities")
-    out = _logsumexp(_inclusive_values(ns, v))
+    out = _logsumexp(_nests(ns, v)[1]).T
     return float(out) if out.ndim == 0 else out
 
 
@@ -252,17 +264,19 @@ def choice_probabilities(ns: NestStructure, v) -> np.ndarray:
     Equals the gradient of `surplus` at v. Computed in log space as the
     product of the nest probability (softmax of inclusive values) and
     the within-nest probability (softmax of v / mu inside the nest).
+    Batched rows can differ from single-point calls in the last bits,
+    as in `surplus`. The result is the transposed view of a goods-major
+    array, not C-ordered for ndim >= 2.
     """
     v = check_array(v, ns.n, "utilities")
-    iv = _inclusive_values(ns, v)
+    w, iv = _nests(ns, v)
     log_denom = _logsumexp(iv)
-    q = np.empty_like(v)
-    for l, (idx, mu) in enumerate(zip(ns._idx, ns.mu)):
-        w = v[..., idx] / mu
-        log_nest = iv[..., l] - log_denom
-        log_within = w - (iv[..., l] / mu)[..., None]
-        q[..., idx] = np.exp(log_nest[..., None] + log_within)
-    return q
+    q = np.empty((ns.n,) + iv.shape[1:])
+    for l, (idx, mu, wl) in enumerate(zip(ns._idx, ns.mu, w)):
+        log_nest = iv[l] - log_denom
+        log_within = wl - iv[l] / mu
+        q[idx] = np.exp(log_nest + log_within)
+    return q.T
 
 
 def conjugate(ns: NestStructure, q) -> float | np.ndarray:

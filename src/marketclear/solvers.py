@@ -362,7 +362,7 @@ def solve(market: Market, config: SolverConfig | None = None) -> Trace:
             p_prev = p
             p = np.maximum(q - h * zq, 0.0)
             iterates[k] = p
-            if not math.isfinite(p.max()):  # the recorder reports this row
+            if not math.isfinite(np.maximum.reduce(p)):  # the recorder reports this row
                 rows = k + 1
                 break
             if basic:  # z(p_{t+1}), for this row and the next step

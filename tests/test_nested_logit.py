@@ -15,6 +15,7 @@ from marketclear import (
     smoothness_moduli,
     surplus,
 )
+from marketclear import specio
 from marketclear.verify import fd_gradient
 
 from conftest import random_instance
@@ -164,6 +165,112 @@ class TestChoiceProbabilities:
         bumped[i] += delta
         assert surplus(ns, bumped) > surplus(ns, v)
         assert choice_probabilities(ns, bumped)[i] > choice_probabilities(ns, v)[i]
+
+
+def _last_axis_logsumexp(x):
+    m = x.max(axis=-1)
+    return m + np.log(np.exp(x - m[..., None]).sum(axis=-1))
+
+
+def _last_axis_inclusive_values(ns, v):
+    iv = np.empty(v.shape[:-1] + (ns.n_nests,))
+    for l, (nest, mu) in enumerate(zip(ns.nests, ns.mu)):
+        iv[..., l] = mu * _last_axis_logsumexp(v[..., list(nest)] / mu)
+    return iv
+
+
+def _last_axis_surplus(ns, v):
+    return _last_axis_logsumexp(_last_axis_inclusive_values(ns, v))
+
+
+def _last_axis_choice_probabilities(ns, v):
+    # the same arithmetic in the same order as the goods-major code, with
+    # each nest gathered as columns and reduced along the last axis
+    iv = _last_axis_inclusive_values(ns, v)
+    log_denom = _last_axis_logsumexp(iv)
+    q = np.empty_like(v)
+    for l, (nest, mu) in enumerate(zip(ns.nests, ns.mu)):
+        idx = list(nest)
+        w = v[..., idx] / mu
+        log_nest = iv[..., l] - log_denom
+        log_within = w - (iv[..., l] / mu)[..., None]
+        q[..., idx] = np.exp(log_nest[..., None] + log_within)
+    return q
+
+
+def assert_same_bits_as_last_axis(ns, v):
+    e, q = surplus(ns, v), choice_probabilities(ns, v)
+    e_ref, q_ref = _last_axis_surplus(ns, v), _last_axis_choice_probabilities(ns, v)
+    assert np.shape(e) == np.shape(e_ref) and np.array_equal(e, e_ref)
+    assert q.shape == q_ref.shape and np.array_equal(q, q_ref)
+
+
+LAYOUT_STRUCTURES = [
+    NestStructure.single(1),
+    NestStructure(4, ((0, 1), (2, 3)), (0.5, 1.0)),
+    NestStructure.single(19, 0.3),  # one nest of 19 goods
+    NestStructure(12, ((0, 2, 4, 6, 8, 10, 11, 1), (3, 5, 7, 9)), (0.05, 1.0)),  # 8 + 4
+    NestStructure(20, (tuple(range(0, 18, 2)), tuple(range(1, 18, 2)), (18,), (19,)),
+                  (1e-3, 0.7, 0.2, 1.0)),  # 9 + 9 + 1 + 1, scattered columns
+]
+
+
+class TestGoodsMajorLayout:
+    """surplus and choice_probabilities reduce each nest along the goods
+    axis of v.T; they must give the bits of the last-axis formulas."""
+
+    @pytest.mark.parametrize("ns", LAYOUT_STRUCTURES, ids=lambda ns: f"n{ns.n}")
+    @pytest.mark.parametrize("shape", [(), (1,), (3,), (4096,), (2, 3), (7, 3), (0,)])
+    def test_same_bits_as_last_axis_reference(self, ns, shape):
+        v = np.random.default_rng(ns.n).uniform(-5, 5, shape + (ns.n,))
+        assert_same_bits_as_last_axis(ns, v)
+
+    def test_same_bits_on_non_contiguous_input(self):
+        ns = LAYOUT_STRUCTURES[-1]
+        v = np.random.default_rng(3).uniform(-5, 5, (ns.n, 40)).T  # Fortran order
+        assert_same_bits_as_last_axis(ns, v)
+        assert_same_bits_as_last_axis(ns, v[::3])
+
+    # at most 4 nests, so n >= 32 always gives a nest of 8 or more goods
+    @given(st.integers(8, 48), st.integers(0, 2**31),
+           st.lists(st.floats(-3.0, 0.0), min_size=4, max_size=4),
+           st.sampled_from([(), (1,), (5,), (64,), (2, 3)]))
+    @settings(max_examples=80, deadline=None)
+    def test_same_bits_on_random_structures(self, n, seed, log_mu, shape):
+        rng = np.random.default_rng(seed)
+        nests = specio.random_nest_structure(n, rng).nests
+        ns = NestStructure(n, nests, tuple(10.0 ** e for e in log_mu[:len(nests)]))
+        assert_same_bits_as_last_axis(ns, rng.uniform(-5, 5, shape + (n,)))
+
+
+class TestShapeAndRowContract:
+    ns = LAYOUT_STRUCTURES[-1]
+
+    def test_output_shapes(self):
+        rng = np.random.default_rng(11)
+        e, q = surplus(self.ns, rng.uniform(-5, 5, 20)), choice_probabilities(
+            self.ns, rng.uniform(-5, 5, 20))
+        assert isinstance(e, float) and q.shape == (20,)
+        for lead in ((5,), (0,), (4, 3)):
+            v = rng.uniform(-5, 5, lead + (20,))
+            assert surplus(self.ns, v).shape == lead
+            assert choice_probabilities(self.ns, v).shape == lead + (20,)
+
+    # A batched row sums a nest sequentially, a single point pairwise
+    # (8 or more goods), so rows may differ from single calls in the last
+    # bits; over the acceptance-batch markets they stay below 1e-14.
+    @pytest.mark.parametrize("lead", [(8,), (2, 4)])
+    def test_batched_rows_match_single_points(self, lead):
+        for slot in range(20):
+            m = specio.market_from_document(specio.batch_market(slot))
+            p = np.random.default_rng(slot).uniform(0, 5, lead + (m.n,))
+            for ct in m.consumers:
+                v = ct.a - p
+                e, q = surplus(ct.nests, v), choice_probabilities(ct.nests, v)
+                for r in np.ndindex(lead):
+                    np.testing.assert_allclose(e[r], surplus(ct.nests, v[r]), rtol=1e-13, atol=0)
+                    np.testing.assert_allclose(q[r], choice_probabilities(ct.nests, v[r]),
+                                               rtol=1e-13, atol=0)
 
 
 class TestConjugate:
