@@ -3,10 +3,11 @@
 
 For each seeded market, runs a high-accuracy reference solve, then both
 pricing schemes at the default tolerance, and reports iteration counts
-and fitted log-log rate slopes. A basic-scheme slope near -1 and an
-accelerated slope at or below -2 reproduce the expected first-order
-rates; locally the potential is strongly convex, so measured slopes are
-usually much steeper.
+and fitted log-log rate slopes. The schemes' O(1/t) and O(1/t^2) rates
+are upper bounds on the gap; near the optimum the gap decays
+geometrically, so a fitted slope depends on the gap floor of the fit
+and is usually much steeper than -1 or -2, and basic can read steeper
+than accelerated.
 """
 
 import argparse

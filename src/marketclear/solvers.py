@@ -11,18 +11,16 @@ and differ only in their momentum b_t: 0 for plain projected gradient
     b_t = (g_t - 1) / g_{t+1},   g_1 = 1,   g_{t+1} = (1 + sqrt(1 + 4 g_t^2)) / 2,
 
 so b_1 = 0 as well. `solve` runs one loop for both, in blocks of 64
-iterations. Inside a block it computes only what the step needs: under
-basic z(p_t), which the previous iteration already computed, and under
-accelerated z(q_t), which is z(p_t) at the zero-momentum iterations
-t = 0 and t = 1. At the end of a block one batched call prices all of
-its iterates (`Market.ter` under basic, whose z the loop already has,
-`Market.value_and_grad` under accelerated), and one call of
+iterations; the scheme chooses the momentum sequence and nothing else.
+Each iteration makes one single-point call for z(q_t), with q_t = p_t
+where the momentum is zero. At the end of a block one batched call of
+`Market.value_and_grad` prices all of its iterates, and one call of
 `clearing_residuals` gives the stop test and every trace column. The
 first row whose residual is at most tol ends the solve, and the rows
 after it are dropped. With T the iterations kept and T' those run (T
-rounded up to a multiple of 64, at most max_iters), basic makes T' + 1
-single-point oracle calls and accelerated T', and both make ceil(T / 64)
-block calls; the trace and the closing log line report both counts.
+rounded up to a multiple of 64, at most max_iters), each scheme makes
+T' single-point oracle calls and ceil(T / 64) block calls; the trace and
+the closing log line report both counts.
 
 The extrapolated points q_t may leave the orthant; the potential and
 its gradient extend smoothly to all of R^n, so they are evaluated there
@@ -154,18 +152,17 @@ class Trace:
     the direct measure of the market-clearing conditions. `solve` takes
     the ter column from batched calls, 64 iterates each, so it agrees
     with single-point TER(p_t) to 1e-12 * max(1, |TER|), not bit for
-    bit; z comes from the single-point oracle under basic and from the
-    batched one under accelerated, which give the same bits.
+    bit; z comes from the same calls, and has the bits of the
+    single-point oracle.
 
-    The run itself: `oracle_evals` single-point oracle calls (T' + 1
-    under basic and T' under accelerated, T' the iterations run: the
-    rows kept rounded up to a multiple of 64, at most max_iters) and
-    `blocks` batched calls (one per 64 rows kept), its `wall_s`, and why
-    it stopped, `stop`: "tol" or "max_iters". A reference solve counts
-    its line-search points in `oracle_evals` and its Hessians, one
-    batched call on 2n rows each, in `blocks`, and stops with "no_step"
-    when no step is acceptable. A trace not made by a solver (a test's,
-    or one read back from a file) keeps the defaults.
+    The run itself: `oracle_evals` single-point oracle calls (T', the
+    iterations run: the rows kept rounded up to a multiple of 64, at
+    most max_iters) and `blocks` batched calls (one per 64 rows kept),
+    its `wall_s`, and why it stopped, `stop`: "tol" or "max_iters". A
+    reference solve counts its line-search points in `oracle_evals` and
+    its Hessians, one batched call on 2n rows each, in `blocks`, and
+    stops with "no_step" when no step is acceptable. A trace not made by
+    a solver (a test's, or one read back from a file) keeps the defaults.
     """
 
     scheme: str
@@ -262,7 +259,7 @@ class _Recorder:
 
     def __init__(self, h: float, price_block=None):
         self.h = h
-        # (R, n) iterates -> (TER (R,), z (R, n) or None), one batched call
+        # (R, n) iterates -> (TER (R,), z (R, n)), one batched call
         self.price_block = price_block
         self.cols: list[tuple[np.ndarray, ...]] = []  # per block, in Trace's column order
         self.iterations = 0  # rows kept
@@ -276,20 +273,18 @@ class _Recorder:
         whose clearing residual is <= tol, and return whether there was one.
 
         z (R, n) and value (R,) are the excess supply and TER of each
-        row. Without a value, the rows before the first non-finite
-        iterate are priced by one call of `price_block`, which also
-        gives z if it is not given; later rows are never priced. steps
-        holds the step that reached each row (default h). Raises
-        DivergedError at the first kept row whose iterate or z is not
-        finite, or whose TER is not; where both fail on one row, the
-        iterate is reported.
+        row, given together or not at all. Without them, the rows before
+        the first non-finite iterate are priced by one call of
+        `price_block`; later rows are never priced. steps holds the step
+        that reached each row (default h). Raises DivergedError at the
+        first kept row whose iterate or z is not finite, or whose TER is
+        not; where both fail on one row, the iterate is reported.
         """
         rows = len(p)
         ok = _first(~np.isfinite(p).all(axis=1))  # rows before the first non-finite iterate
         if value is None:
             self.blocks += 1
-            value, priced = self.price_block(p[:ok])
-            z = priced if z is None else z
+            value, z = self.price_block(p[:ok])
         residual, min_excess, complementarity = clearing_residuals(p[:ok], z[:ok])
         # a NaN or +-inf in z makes the residual or <p, z> non-finite:
         # z_i = +inf leaves the natural map finite but gives p_i * inf
@@ -329,53 +324,34 @@ def solve(market: Market, config: SolverConfig | None = None) -> Trace:
     _require_productive(market)
     h = resolve_step(market, config.step)
     p = _initial_prices(market, config.p0)
-    basic = config.scheme == "basic"
-    rec = _Recorder(h, (lambda block: (market.ter(block), None)) if basic
-                    else market.value_and_grad)
+    rec = _Recorder(h, market.value_and_grad)
     log.info("solve scheme=%s h=%g tol=%g max_iters=%d", config.scheme, h,
              config.tol, config.max_iters)
 
-    momentum = itertools.repeat(0.0) if basic else _nesterov_momentum()
+    momentum = itertools.repeat(0.0) if config.scheme == "basic" else _nesterov_momentum()
     # p is checked by _initial_prices and every iterate before the oracle
     # sees it, so the loop calls the market's unchecked oracle on one price
     # vector for z alone; the recorder prices each block afterwards
     oracle = market._flat.kernel
     iterates = np.empty((_TER_BLOCK, market.n))
-    excess = np.empty((_TER_BLOCK, market.n)) if basic else None
-    z = oracle(p, False, True)[1]
-    evals = 1
     p_prev = p
-    run = 0  # iterations run
+    run = 0  # iterations run, one single-point oracle call each
     stopped = False
     while not stopped and run < config.max_iters:
         rows = min(_TER_BLOCK, config.max_iters - run)
         for k, beta in zip(range(rows), momentum):
-            if beta == 0.0:
-                if z is None:  # accelerated at t = 1: z(p_1) is needed now
-                    z = oracle(p, False, True)[1]
-                    evals += 1
-                q, zq = p, z
-            else:  # q may sit outside the orthant; z extends there
-                q = p + beta * (p - p_prev)
-                zq = oracle(q, False, True)[1]
-                evals += 1
+            # q may sit outside the orthant; z extends there
+            q = p if beta == 0.0 else p + beta * (p - p_prev)
             p_prev = p
-            p = np.maximum(q - h * zq, 0.0)
+            p = np.maximum(q - h * oracle(q, False, True)[1], 0.0)
             iterates[k] = p
             if not math.isfinite(np.maximum.reduce(p)):  # the recorder reports this row
                 rows = k + 1
                 break
-            if basic:  # z(p_{t+1}), for this row and the next step
-                z = oracle(p, False, True)[1]
-                excess[k] = z
-                evals += 1
-            else:
-                z = None
         run += rows
-        stopped = rec.record(iterates[:rows], None if excess is None else excess[:rows],
-                             tol=config.tol)
+        stopped = rec.record(iterates[:rows], tol=config.tol)
 
-    trace = rec.finish(config.scheme, stopped, oracle_evals=evals, blocks=rec.blocks,
+    trace = rec.finish(config.scheme, stopped, oracle_evals=run, blocks=rec.blocks,
                        wall_s=time.perf_counter() - start,
                        stop="tol" if stopped else "max_iters")
     log.info("solve done: iters=%d converged=%s stop=%s residual=%.3e oracle_evals=%d "
@@ -470,8 +446,9 @@ def qualifying_window(ter_values: np.ndarray, ter_star: float) -> np.ndarray:
 def fit_rate(trace, ter_star: float) -> float:
     """Least-squares slope of ln(TER(p_t) - ter_star) against ln t.
 
-    A slope near -1 is the plain projected-gradient rate, near -2 the
-    accelerated rate. Requires at least 50 qualifying iterations.
+    The schemes' O(1/t) and O(1/t^2) rates bound the gap from above;
+    near the optimum it decays geometrically, so the slope also depends
+    on the window's floor. Requires at least 50 qualifying iterations.
     """
     ter_star = float(real(ter_star, "ter_star", ()))
     if not math.isfinite(ter_star):

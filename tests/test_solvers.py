@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -168,6 +169,18 @@ class TestSolve:
         np.testing.assert_array_equal(a.price, b.price)
         np.testing.assert_array_equal(a.ter, b.ter)
 
+    def test_zero_momentum_turns_accelerated_into_basic(self, monkeypatch):
+        # the scheme chooses the momentum sequence and nothing else
+        m = specio.load_market(SPEC_DIR / "market_n6.json")
+        basic = solve(m, SolverConfig(scheme="basic"))
+        monkeypatch.setattr(solvers, "_nesterov_momentum", lambda: itertools.repeat(0.0))
+        accel = solve(m, SolverConfig(scheme="accelerated"))
+        for field in ("ter", "grad_norm", "min_excess", "complementarity", "steps", "price"):
+            np.testing.assert_array_equal(getattr(accel, field), getattr(basic, field),
+                                          err_msg=field)
+        assert ((accel.iterations, accel.converged, accel.oracle_evals, accel.blocks)
+                == (basic.iterations, basic.converged, basic.oracle_evals, basic.blocks))
+
     def test_divergence_guard_names_iteration(self, single_good_market):
         from marketclear.solvers import DivergedError, _Recorder
 
@@ -175,17 +188,18 @@ class TestSolve:
         # the bad row closes a one-row block, or sits second in a two-row one
         for bad_p, bad_z in [(np.inf, 0.0), (np.nan, 0.0), (1.0, np.inf), (0.0, np.inf),
                              (1.0, -np.inf), (1.0, np.nan)]:
-            rec = _Recorder(0.1)
             p = np.array([[1.0]])
-            rec.record(p, np.array([[0.5]]), single_good_market.ter(p))
+            rec = _Recorder(0.1, _pricing((single_good_market.ter(p), np.array([[0.5]])),
+                                          (np.zeros(1), np.array([[bad_z, 0.5]]))))
+            rec.record(p)
             with (pytest.raises(DivergedError, match="non-finite iterate at iteration 2") as err,
                   np.errstate(invalid="ignore")):
-                rec.record(np.array([[bad_p, 1.0]]), np.array([[bad_z, 0.5]]), np.zeros(1))
+                rec.record(np.array([[bad_p, 1.0]]))
             assert err.value.iteration == 2
+            rec = _Recorder(0.1, _pricing((np.zeros(2), np.array([[0.5, 0.5], [bad_z, 0.5]]))))
             with (pytest.raises(DivergedError, match="non-finite iterate at iteration 2") as err,
                   np.errstate(invalid="ignore")):
-                _Recorder(0.1).record(np.array([[1.0, 1.0], [bad_p, 1.0]]),
-                                      np.array([[0.5, 0.5], [bad_z, 0.5]]), np.zeros(2))
+                rec.record(np.array([[1.0, 1.0], [bad_p, 1.0]]))
             assert err.value.iteration == 2
 
     def test_divergence_guard_rejects_non_finite_ter(self, monkeypatch):
@@ -227,11 +241,11 @@ class TestSolve:
         assert len(done) == 1
         t = trace.iterations
         assert trace.converged and t >= 2
-        # the loop runs whole blocks of 64 iterations; basic computes z(p_t)
-        # once per iterate, p_0 included, and accelerated z(q_t) once per
-        # step, which is z(p_t) at the first two, where the momentum is zero
+        # the loop runs whole blocks of 64 iterations and computes z(q_t)
+        # once per step under either scheme, q_t = p_t where the momentum
+        # is zero
         run = min(-(-t // 64) * 64, SolverConfig().max_iters)
-        assert len(calls) == (run + 1 if scheme == "basic" else run)
+        assert len(calls) == run
         # each block's iterates are priced by one batched call
         assert len(blocks) == -(-t // 64)
         assert (trace.oracle_evals, trace.blocks, trace.stop) == (len(calls), len(blocks), "tol")
@@ -323,12 +337,12 @@ class TestSolve:
         def ter(block):  # row 3 of the block overflows
             values = single_good_market.ter(block)
             values[2] = np.inf
-            return values, None
+            return values, np.full((len(block), 1), 0.5)
 
         rec = solvers._Recorder(0.1, ter)
         p = np.array([[1.0]] * 4 + [[np.nan]])
         with pytest.raises(DivergedError, match=r"\(TER\) at iteration 3$") as err:
-            rec.record(p, np.full((5, 1), 0.5))
+            rec.record(p)
         assert err.value.iteration == 3
 
 
@@ -354,18 +368,18 @@ class TestSolve:
             values = np.zeros(len(block))
             if ter_row and ter_row <= len(block):
                 values[ter_row - 1] = -np.inf
-            return values, None
+            return values, z[:len(block)]
 
         rec = solvers._Recorder(0.1, ter)
         if expected is None:
-            assert rec.record(p, z, tol=0.1)
+            assert rec.record(p, tol=0.1)
             trace = rec.finish("basic", True)
             assert trace.iterations == stop_row
             np.testing.assert_array_equal(trace.grad_norm, [0.5] * (stop_row - 1) + [0.0])
         else:
             with pytest.raises(DivergedError, match=f"{expected[1]}.* at iteration "
                                f"{expected[0]}$") as err:
-                rec.record(p, z, tol=0.1)
+                rec.record(p, tol=0.1)
             assert err.value.iteration == expected[0]
         # the rows from a non-finite iterate on are never priced
         assert priced == [iterate_row - 1 if iterate_row else 6]
@@ -375,11 +389,11 @@ class TestSolve:
         # meets any tol; <p, z> = 0 * inf marks the row as diverged
         from marketclear.solvers import DivergedError
 
-        rec = solvers._Recorder(0.1, lambda block: (np.zeros(len(block)), None))
         p, z = np.ones((3, 1)), np.full((3, 1), 0.5)
         p[1], z[1] = 0.0, np.inf
+        rec = solvers._Recorder(0.1, _pricing((np.zeros(3), z)))
         with pytest.raises(DivergedError, match="non-finite iterate at iteration 2$"):
-            rec.record(p, z, tol=0.1)
+            rec.record(p, tol=0.1)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 8), j=st.integers(1, 3), k=st.integers(1, 3),
@@ -401,8 +415,19 @@ class TestSolve:
         trace = _assert_matches_plain_loop(m, SolverConfig(scheme=scheme, tol=tol))
         assert trace.converged and trace.iterations == row and trace.stop == "tol"
         # no speculative iterate was run past the block
-        assert trace.oracle_evals == (row + 1 if scheme == "basic" else row)
-        assert trace.blocks == row // 64
+        assert (trace.oracle_evals, trace.blocks) == (row, row // 64)
+
+
+def _pricing(*blocks):
+    """A recorder's price_block that answers its k-th call with the k-th
+    (TER, z) pair, cut to the rows it is asked for."""
+    answers = iter(blocks)
+
+    def price_block(p):
+        value, z = next(answers)
+        return value[:len(p)], z[:len(p)]
+
+    return price_block
 
 
 def _plain_loop(market: mc.Market, config: SolverConfig):
@@ -434,12 +459,16 @@ def _plain_loop(market: mc.Market, config: SolverConfig):
 
 def _assert_matches_plain_loop(market: mc.Market, config: SolverConfig) -> Trace:
     """solve's trace against _plain_loop: the same rows, price and step bit
-    for bit, and TER, residual and <p, z> to 1e-12 * max(1, |x|)."""
+    for bit, and TER, residual and <p, z> to 1e-12 * max(1, |x|); and one
+    single-point call per iteration run and one batched call per block."""
     trace = solve(market, config)
     cols, price, converged, h = _plain_loop(market, config)
     ter, residual, min_excess, complementarity = cols
     assert trace.iterations == len(ter)
     assert trace.converged == converged
+    blocks = -(-len(ter) // 64)
+    assert trace.blocks == blocks
+    assert trace.oracle_evals == min(blocks * 64, config.max_iters)
     np.testing.assert_array_equal(trace.price, price)
     np.testing.assert_array_equal(trace.min_excess, min_excess)
     np.testing.assert_array_equal(trace.steps, np.full(len(ter), h))
