@@ -12,17 +12,15 @@ from .market import (
     ProductivityCheck,
 )
 from .nested_logit import (
-    DomainError,
-    MarketclearError,
     NestStructure,
     SmoothnessModuli,
-    StructureError,
     choice_probabilities,
     conjugate,
     fenchel_gap,
     smoothness_moduli,
     surplus,
 )
+from .rules import ConfigError, DomainError, MarketclearError, StructureError
 from .sampling import (
     empirical_error_correlation,
     empirical_error_covariance,
@@ -32,7 +30,6 @@ from .sampling import (
     standard_gumbel,
 )
 from .solvers import (
-    ConfigError,
     DivergedError,
     RateFitError,
     SolverConfig,

@@ -15,8 +15,8 @@ import os
 import sys
 
 from . import specio, verify
-from .nested_logit import MarketclearError
-from .solvers import SCHEMES, ConfigError, SolverConfig, fit_rate, qualifying_window, solve
+from .rules import ConfigError, MarketclearError
+from .solvers import SCHEMES, SolverConfig, fit_rate, qualifying_window, solve
 
 log = logging.getLogger("marketclear.cli")
 

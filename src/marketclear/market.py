@@ -52,8 +52,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .nested_logit import (CODE_MALFORMED, NestStructure, check_array, integer, real, require,
-                           require_finite)
+from .nested_logit import NestStructure
+from .rules import CODE_MALFORMED, check_array, integer, real, require, require_finite
 from .supply import Supplier
 
 # Rows of a price block evaluated per kernel pass. The pass keeps

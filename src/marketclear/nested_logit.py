@@ -17,6 +17,8 @@ All functions accept batched utilities of shape (..., n) and return
 shapes (...) or (..., n). `surplus` and `choice_probabilities` work
 goods-major: on the transposed view v.T, each nest is one row gather of
 shape (L, ...), reduced along axis 0 at once for every evaluation point.
+Arguments are checked by the package's input rules (`rules`); this
+module keeps only the consumer's own bounds, MU_MIN and SIMPLEX_ATOL.
 """
 
 from __future__ import annotations
@@ -25,121 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rules import (CODE_MALFORMED, CODE_MU_RANGE, CODE_PARTITION, DomainError,
+                    StructureError, check_array, integer, real, require, require_finite)
+
 # Smallest admissible scale parameter: below this, exp(v/mu) is
 # numerically meaningless even in log space.
 MU_MIN = 1e-6
 
-# Largest admissible magnitude of a market datum (`require_finite`). The
-# kernel's largest products are gamma * (y - y_nat)^2 and y * p, with
-# |y| <= B and prices of order c + 2 gamma (count - y_nat), that is B^2,
-# and count * (a - p) / mu with mu > MU_MIN: at most a few B^3 / MU_MIN,
-# 1e156 for B = 1e50. TER and z therefore stay finite, far below the
-# float maximum 1.8e308, even summed over any market that fits in memory.
-MAX_MAGNITUDE = 1e50
-
-# Smallest admissible adjustment weight gamma: 1 / gamma enters the
-# smoothness constant, which a subnormal gamma makes infinite.
-GAMMA_MIN = 1.0 / MAX_MAGNITUDE
-
 # Tolerance for the simplex membership test in `conjugate`.
 SIMPLEX_ATOL = 1e-8
-
-
-# Codes of the market-data rules, shared by StructureError and spec files.
-CODE_MALFORMED = "malformed"
-CODE_PARTITION = "partition"
-CODE_MU_RANGE = "mu-range"
-CODE_GAMMA = "gamma"
-CODE_BOUNDS = "bounds"
-CODE_NON_FINITE = "non-finite"
-
-
-class MarketclearError(Exception):
-    """Base of every error the package raises on bad input or an unsolvable market."""
-
-
-class StructureError(MarketclearError, ValueError):
-    """Market data, nest structure or dimension invariants violated.
-
-    `code` names the rule and `field` the offending attribute, indexed
-    from 0 where it is an array (`y_nat[3]`, `mu[1]`, `nests[0]`).
-    Messages count alternatives and nests from 1, as spec files do.
-    """
-
-    def __init__(self, message: str, code: str = CODE_MALFORMED, field: str = ""):
-        super().__init__(f"{field}: {message}" if field else message)
-        self.message = message
-        self.code = code
-        self.field = field
-
-
-class DomainError(MarketclearError, ValueError):
-    """Input outside the mathematical domain of an operation."""
-
-
-def require(ok, code: str, field: str, message: str) -> None:
-    """Raise StructureError(message, code, field) unless `ok` holds.
-
-    For an array `ok` the field is indexed at its first False entry.
-    """
-    ok = np.asarray(ok)
-    if not ok.all():
-        raise StructureError(
-            message, code, f"{field}[{np.flatnonzero(~ok)[0]}]" if ok.ndim else field
-        )
-
-
-def real(value, field: str, shape: tuple | None = None) -> np.ndarray:
-    """value as a float array, of the given shape if asked. The one rule for
-    real-valued data: each entry is a Python or numpy int or float, not a bool;
-    text, None, a dict or a nested list is malformed, named as in `require`."""
-    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):  # those skip the scan
-        try:
-            value = np.array(value, dtype=object)
-        except ValueError:  # arrays whose shapes differ past the first axis
-            raise StructureError("expected a number, got a ragged array",
-                                 CODE_MALFORMED, field) from None
-        for i, e in enumerate(value.flat):
-            if isinstance(e, bool) or not isinstance(e, (int, float, np.integer, np.floating)):
-                raise StructureError(f"expected a number, got {type(e).__name__}",
-                                     CODE_MALFORMED, f"{field}[{i}]" if value.ndim else field)
-    try:
-        x = np.asarray(value, dtype=float)
-    except OverflowError:  # a Python int beyond the float range
-        raise StructureError(f"magnitude exceeds {MAX_MAGNITUDE:g}", CODE_NON_FINITE, field) from None
-    if shape is not None and x.shape != shape:
-        raise StructureError(f"expected {'a number' if shape == () else f'shape {shape}'}, "
-                             f"got shape {x.shape}", CODE_MALFORMED, field)
-    return x
-
-
-def integer(value, field: str, least: int = 0) -> int:
-    """value as an int. The one rule for counts, sizes, seeds and indices: a Python
-    or numpy integer, not a bool, and >= least; anything else is malformed at field."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise StructureError(f"must be an integer >= {least}, got {value!r}", CODE_MALFORMED, field)
-    return int(value)
-
-
-def require_finite(**fields) -> None:
-    """Raise a non-finite StructureError at the first NaN or infinite
-    entry, or at the first entry of magnitude above MAX_MAGNITUDE."""
-    for name, value in fields.items():
-        require(np.isfinite(value), CODE_NON_FINITE, name, "must be finite")
-        require(np.abs(value) <= MAX_MAGNITUDE, CODE_NON_FINITE, name,
-                f"magnitude exceeds {MAX_MAGNITUDE:g}")
-
-
-def check_array(x, n: int, what: str, nonnegative: bool = False) -> np.ndarray:
-    """x as floats with last dimension n, all finite, and >= 0 if asked."""
-    x = real(x, what)
-    if x.ndim == 0 or x.shape[-1] != n:
-        raise StructureError(f"{what} must have last dimension {n}")
-    if not np.isfinite(x).all():
-        raise DomainError(f"{what} must be finite")
-    if nonnegative and np.any(x < 0):
-        raise DomainError(f"{what} must be nonnegative")
-    return x
 
 
 @dataclass(frozen=True)

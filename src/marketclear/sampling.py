@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nested_logit import (DomainError, NestStructure, StructureError, check_array,
-                           choice_probabilities, integer, real)
+from .nested_logit import NestStructure, choice_probabilities
+from .rules import DomainError, check_array, integer, real
 
 # Batch size for streaming sample generation. Pinned: changing it
 # changes the deterministic sample streams.
@@ -40,22 +40,14 @@ BATCH_SIZE = 1 << 16
 _TWO_53 = 1 << 53
 
 
-def _count(value, field: str, least: int = 0) -> int:
-    """A sample count, size or seed as an int, by the package's rule of what an integer is."""
-    try:
-        return integer(value, field, least)
-    except StructureError as exc:
-        raise DomainError(f"{field} {exc.message}") from exc
-
-
 def _size(size):
     """A numpy size argument, None or a count or a tuple of counts, by the
     package's rule of what an integer is."""
     if size is None:
         return None
     if isinstance(size, tuple):
-        return tuple(_count(k, f"size[{i}]") for i, k in enumerate(size))
-    return _count(size, "size")
+        return tuple(integer(k, f"size[{i}]", 0, DomainError) for i, k in enumerate(size))
+    return integer(size, "size", 0, DomainError)
 
 
 def _open_uniform(rng: np.random.Generator, size=None) -> np.ndarray:
@@ -137,10 +129,7 @@ def positive_stable(alpha: float, rng: np.random.Generator, size=None):
     evaluated as exp of ``_log_stable``. The distribution has no closed
     density; it is validated through its Laplace transform.
     """
-    try:
-        alpha = float(real(alpha, "alpha", ()))
-    except StructureError as exc:
-        raise DomainError(f"alpha: {exc.message}") from exc
+    alpha = float(real(alpha, "alpha", (), DomainError))
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"stable exponent must lie in (0, 1), got {alpha}")
     size = _size(size)
@@ -151,7 +140,7 @@ def positive_stable(alpha: float, rng: np.random.Generator, size=None):
 
 def sample_nested_errors(ns: NestStructure, rng: np.random.Generator, size: int | None = None):
     """Exact draws from the nested logit joint; shape (size, n) or (n,)."""
-    m = 1 if size is None else _count(size, "size")
+    m = 1 if size is None else integer(size, "size", 0, DomainError)
     eps = np.empty((m, ns.n))
     for nest, mu in zip(ns.nests, ns.mu):
         # nests are sorted; adjacent goods take a column slice, much cheaper
@@ -175,7 +164,8 @@ def _batches(ns: NestStructure, samples: int, seed: int):
 
 def monte_carlo_choice_frequencies(ns: NestStructure, v, samples: int, seed: int) -> np.ndarray:
     """Empirical frequency of argmax_i (v_i + eps_i) over exact joint draws."""
-    samples, seed = _count(samples, "samples", 1), _count(seed, "seed")
+    samples = integer(samples, "samples", 1, DomainError)
+    seed = integer(seed, "seed", 0, DomainError)
     v = check_array(v, ns.n, "utilities")
     if v.ndim != 1:
         raise DomainError(f"utilities must have shape ({ns.n},)")
@@ -188,7 +178,8 @@ def monte_carlo_choice_frequencies(ns: NestStructure, v, samples: int, seed: int
 
 def empirical_error_covariance(ns: NestStructure, samples: int, seed: int) -> np.ndarray:
     """Sample covariance matrix of the error vector over exact draws."""
-    samples, seed = _count(samples, "samples", 2), _count(seed, "seed")
+    samples = integer(samples, "samples", 2, DomainError)
+    seed = integer(seed, "seed", 0, DomainError)
     s1 = np.zeros(ns.n)
     s2 = np.zeros((ns.n, ns.n))
     for eps in _batches(ns, samples, seed):

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .market import Market, clearing_residuals
-from .nested_logit import DomainError, MarketclearError, StructureError, integer, real
+from .rules import ConfigError, DomainError, MarketclearError, integer, real
 
 log = logging.getLogger("marketclear.solvers")
 
@@ -78,10 +78,6 @@ _ARMIJO_SIGMA = 1e-4
 _MAX_HALVINGS = 60
 
 SCHEMES = ("basic", "accelerated")
-
-
-class ConfigError(MarketclearError, ValueError):
-    """Invalid solver configuration."""
 
 
 class UnproductiveMarketError(MarketclearError, RuntimeError):
@@ -119,29 +115,13 @@ class SolverConfig:
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         if self.step is not None:
-            self.step = _real_option(self.step, "step", "step size")
+            self.step = float(real(self.step, "step", (), ConfigError))
             if not self.step > 0:
                 raise ConfigError(f"step size must be positive, got {self.step}")
-        self.max_iters = integer_option(self.max_iters, "max_iters", 1)
-        self.tol = _real_option(self.tol, "tol", "tolerance")
+        self.max_iters = integer(self.max_iters, "max_iters", 1, ConfigError)
+        self.tol = float(real(self.tol, "tol", (), ConfigError))
         if not 0 <= self.tol < math.inf:
             raise ConfigError(f"tolerance must be finite and >= 0, got {self.tol}")
-
-
-def _real_option(value, field: str, what: str) -> float:
-    """A scalar option as a float, by the package's rule of what a number is."""
-    try:
-        return float(real(value, field, ()))
-    except StructureError as exc:
-        raise ConfigError(f"{what} must be a number: {exc}") from exc
-
-
-def integer_option(value, field: str, least: int) -> int:
-    """A count or seed option as an int, by the package's rule of what an integer is."""
-    try:
-        return integer(value, field, least)
-    except StructureError as exc:
-        raise ConfigError(f"{field} {exc.message}") from exc
 
 
 @dataclass
@@ -216,10 +196,7 @@ def _initial_prices(market: Market, p0: np.ndarray | None) -> np.ndarray:
     """The start prices, zero by default; the one check of a given p0."""
     if p0 is None:
         return np.zeros(market.n)
-    try:
-        p = real(p0, "p0")
-    except StructureError as exc:
-        raise ConfigError(f"initial prices must be a numeric array: {exc}") from exc
+    p = real(p0, "p0", error=ConfigError)
     if np.any(p < 0) or not np.all(np.isfinite(p)):
         raise ConfigError("initial prices must be finite and nonnegative")
     if p.shape != (market.n,):
@@ -450,7 +427,7 @@ def fit_rate(trace, ter_star: float) -> float:
     near the optimum it decays geometrically, so the slope also depends
     on the window's floor. Requires at least 50 qualifying iterations.
     """
-    ter_star = float(real(ter_star, "ter_star", ()))
+    ter_star = float(real(ter_star, "ter_star", (), DomainError))
     if not math.isfinite(ter_star):
         raise DomainError(f"ter_star must be finite, got {ter_star}")
     ter = np.asarray(trace.ter, dtype=float)

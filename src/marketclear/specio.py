@@ -11,7 +11,7 @@ A market spec is a JSON document
 
 with 1-based alternative indices in `members` (converted to 0-based
 internally). The reader checks the document's shape, and `$.n` and
-`members` by `nested_logit.integer` because it needs them first; the
+`members` by `rules.integer` because it needs them first; the
 market constructors check the other values, and all their errors are
 reported here at the field's document path. Documents are serialized
 canonically (sorted keys, 2-space indent, full-precision floats) so that
@@ -30,7 +30,8 @@ from typing import Any
 import numpy as np
 
 from .market import ConsumerType, Market
-from .nested_logit import (  # the CODE_* names are re-exported
+from .nested_logit import NestStructure
+from .rules import (  # the CODE_* names are re-exported
     CODE_BOUNDS,
     CODE_GAMMA,
     CODE_MALFORMED,
@@ -38,7 +39,6 @@ from .nested_logit import (  # the CODE_* names are re-exported
     CODE_NON_FINITE,
     CODE_PARTITION,
     MarketclearError,
-    NestStructure,
     StructureError,
     integer,
 )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nested_logit import (
+from .rules import (
     CODE_BOUNDS,
     CODE_GAMMA,
     CODE_MALFORMED,
@@ -74,7 +74,7 @@ class Supplier:
 
 def total_cost(s: Supplier, y) -> float | np.ndarray:
     """Base cost plus quantity-adjustment penalty at supply y."""
-    y = np.asarray(y, dtype=float)
+    y = check_array(y, s.n, "supply")
     out = (
         (s.c * y).sum(axis=-1)
         + 0.5 * (s.d * y * y).sum(axis=-1)

@@ -30,8 +30,8 @@ from .nested_logit import (
     smoothness_moduli,
     surplus,
 )
-from .solvers import (FD_STEP, REFERENCE_TOL, ConfigError, SolverConfig, fd_gradient,
-                      integer_option, reference_solve, solve)
+from .rules import ConfigError, integer
+from .solvers import FD_STEP, REFERENCE_TOL, SolverConfig, fd_gradient, reference_solve, solve
 from .supply import best_response, profit
 
 log = logging.getLogger("marketclear.verify")
@@ -284,12 +284,13 @@ _SUITE_FNS = {
 
 def run_suites(names, market: Market, samples: int, seed: int) -> list[CheckResult]:
     """Run the named suites (or the one named) in canonical order and pool their checks;
-    a ConfigError for a name not in SUITES, samples < 1, seed < 0 or a non-integer."""
+    a ConfigError for a name not in SUITES, samples < 2, seed < 0 or a non-integer."""
     names = (names,) if isinstance(names, str) else names
     for name in names:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
-    samples, seed = integer_option(samples, "samples", 1), integer_option(seed, "seed", 0)
+    samples = integer(samples, "samples", 2, ConfigError)
+    seed = integer(seed, "seed", 0, ConfigError)
     logging_info = log.isEnabledFor(logging.INFO)
     results = []
     for name in SUITES:

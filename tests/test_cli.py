@@ -134,11 +134,11 @@ class TestSolve:
 
     def test_non_numeric_p0(self, tmp_path):
         p0 = tmp_path / "p0.json"
-        for text in ('["a"]', "[true]"):  # numpy would read true as 1.0
+        for text, kind in (('["a"]', "str"), ("[true]", "bool")):  # numpy would read true as 1.0
             p0.write_text(text)
             r = run_cli("solve", "--market", SINGLE_GOOD, "--p0", str(p0))
             assert r.returncode == 1
-            assert r.stderr.startswith("error: initial prices must be a numeric array")
+            assert r.stderr == f"error: p0[0]: expected a number, got {kind}\n"
             assert "Traceback" not in r.stderr
 
     def test_summary_is_the_last_trace_row(self, tmp_path):
@@ -188,7 +188,7 @@ class TestVerify:
     def test_negative_seed(self):
         r = run_cli("verify", "--market", SINGLE_GOOD, "--suite", "gradient", "--seed", "-1")
         assert r.returncode == 1
-        assert r.stderr == "error: seed must be an integer >= 0, got -1\n"
+        assert r.stderr == "error: seed: must be an integer >= 0, got -1\n"
         assert r.stdout == ""
 
     def test_gradient_suite_passes(self):

@@ -44,10 +44,10 @@ class TestStandardGumbel:
 
 
     @pytest.mark.parametrize("size, message", [
-        (2.5, "size must be an integer >= 0, got 2.5"),
-        (-1, "size must be an integer >= 0, got -1"),
-        ((2, 2.5), "size[1] must be an integer >= 0, got 2.5"),
-        ([2, 2], "size must be an integer >= 0, got [2, 2]"),
+        (2.5, "size: must be an integer >= 0, got 2.5"),
+        (-1, "size: must be an integer >= 0, got -1"),
+        ((2, 2.5), "size[1]: must be an integer >= 0, got 2.5"),
+        ([2, 2], "size: must be an integer >= 0, got [2, 2]"),
     ])
     def test_rejects_bad_size(self, size, message):
         for draw in (lambda: standard_gumbel(np.random.default_rng(0), size),

@@ -116,23 +116,43 @@ class TestSolve:
             solve(single_good_market, SolverConfig(step=1.5 / lip))
         solve(single_good_market, SolverConfig(step=1.0 / lip))  # cap itself is fine
 
-    @pytest.mark.parametrize("field, value", [
-        ("tol", float("nan")), ("tol", float("inf")), ("tol", -1e-8),
-        ("step", float("nan")), ("step", 0.0), ("step", -0.1),
-        ("max_iters", 2.5), ("max_iters", float("nan")),
-        ("step", "0.1"), ("tol", "1e-8"), ("tol", True), ("step", True), ("max_iters", True),
-    ])
-    def test_config_rejects_bad_tol_and_step(self, field, value):
-        message = {"tol": "tolerance", "step": "step size", "max_iters": "max_iters"}[field]
-        with pytest.raises(ConfigError, match=message):
+    BAD_CONFIG = [
+        ("tol", float("nan"), "tolerance must be finite and >= 0, got nan"),
+        ("tol", float("inf"), "tolerance must be finite and >= 0, got inf"),
+        ("tol", -1e-8, "tolerance must be finite and >= 0, got -1e-08"),
+        ("step", float("nan"), "step size must be positive, got nan"),
+        ("step", 0.0, "step size must be positive, got 0.0"),
+        ("step", -0.1, "step size must be positive, got -0.1"),
+        ("max_iters", 2.5, "max_iters: must be an integer >= 1, got 2.5"),
+        ("max_iters", float("nan"), "max_iters: must be an integer >= 1, got nan"),
+        ("step", "0.1", "step: expected a number, got str"),
+        ("tol", "1e-8", "tol: expected a number, got str"),
+        ("tol", True, "tol: expected a number, got bool"),
+        ("step", True, "step: expected a number, got bool"),
+        ("max_iters", True, "max_iters: must be an integer >= 1, got True"),
+    ]
+
+    @pytest.mark.parametrize("field, value, message", BAD_CONFIG,
+                             ids=[f"{field}-{value}" for field, value, _ in BAD_CONFIG])
+    def test_config_rejects_bad_tol_and_step(self, field, value, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             SolverConfig(**{field: value})
 
-    @pytest.mark.parametrize("p0", [["a"], [[1.0, 2.0], [3.0]], {"a": 1},
-                                    ["2.9"], [True], [2.9, True]])
-    def test_non_numeric_p0_is_a_config_error(self, single_good_market, p0):
+    NON_NUMERIC_P0 = [
+        (["a"], "p0[0]: expected a number, got str"),
+        ([[1.0, 2.0], [3.0]], "p0[0]: expected a number, got list"),
+        ({"a": 1}, "p0: expected a number, got dict"),
+        (["2.9"], "p0[0]: expected a number, got str"),
+        ([True], "p0[0]: expected a number, got bool"),
+        ([2.9, True], "p0[1]: expected a number, got bool"),
+    ]
+
+    @pytest.mark.parametrize("p0, message", NON_NUMERIC_P0,  # ids as for p0 alone
+                             ids=[f"p0{i}" for i in range(len(NON_NUMERIC_P0))])
+    def test_non_numeric_p0_is_a_config_error(self, single_good_market, p0, message):
         for run in (lambda: solve(single_good_market, SolverConfig(p0=p0)),
                     lambda: reference_solve(single_good_market, p0=p0)):
-            with pytest.raises(ConfigError, match="initial prices must be a numeric array"):
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 run()
 
     def test_max_iters_cap(self, single_good_market):
@@ -522,9 +542,9 @@ class TestRateFit:
             fit_rate(trace, 0.0)
 
     @pytest.mark.parametrize("ter_star, error, message", [
-        ("x", mc.StructureError, "ter_star: expected a number, got str"),
-        (None, mc.StructureError, "ter_star: expected a number, got NoneType"),
-        (True, mc.StructureError, "ter_star: expected a number, got bool"),
+        ("x", mc.DomainError, "ter_star: expected a number, got str"),
+        (None, mc.DomainError, "ter_star: expected a number, got NoneType"),
+        (True, mc.DomainError, "ter_star: expected a number, got bool"),
         (math.nan, mc.DomainError, "ter_star must be finite, got nan"),
         (-math.inf, mc.DomainError, "ter_star must be finite, got -inf"),
     ])

@@ -1,9 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
 from marketclear import DomainError, StructureError, Supplier, best_response, profit
+from marketclear.specio import load_market
 from marketclear.supply import total_cost
 from marketclear.verify import fd_gradient
+
+from conftest import SPEC_DIR
 
 
 def golden_section_max(f, lo, hi, tol=1e-12):
@@ -70,6 +75,16 @@ class TestValidation:
             best_response(s, -np.ones(s.n))
         with pytest.raises(DomainError):
             profit(s, -np.ones(s.n))
+
+    @pytest.mark.parametrize("y, error, message", [
+        ([1.0], StructureError, "supply: must have last dimension 6"),
+        ([float("nan")] * 6, DomainError, "supply: must be finite"),
+        ("x", StructureError, "supply: expected a number, got str"),
+    ])
+    def test_total_cost_checks_its_supply(self, y, error, message):
+        s = load_market(str(SPEC_DIR / "market_n6.json")).suppliers[0]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            total_cost(s, y)
 
 
 class TestBestResponse:

@@ -194,11 +194,12 @@ def test_run_suites_logs_one_line_per_suite(market_n6, caplog):
 
 @pytest.mark.parametrize("names, samples, seed, message", [
     (["nope"], 10, 0, "unknown suite 'nope'"), ([None], 10, 0, "unknown suite None"),
-    (["duality"], 0, 0, "samples must be an integer >= 1, got 0"),
-    (["duality"], 10.0, 0, "samples must be an integer >= 1, got 10.0"),
-    (["duality"], True, 0, "samples must be an integer >= 1, got True"),
-    (["duality"], 10, -1, "seed must be an integer >= 0, got -1"),
-    (["duality"], 10, "0", "seed must be an integer >= 0, got '0'"),
+    (["duality"], 0, 0, "samples: must be an integer >= 2, got 0"),
+    (["duality"], 10.0, 0, "samples: must be an integer >= 2, got 10.0"),
+    (["duality"], True, 0, "samples: must be an integer >= 2, got True"),
+    (["duality"], 10, -1, "seed: must be an integer >= 0, got -1"),
+    (["duality"], 10, "0", "seed: must be an integer >= 0, got '0'"),
+    (["correlation"], 1, 0, "samples: must be an integer >= 2, got 1"),  # correlation needs 2
 ])
 def test_run_suites_rejects_bad_parameters(market_n6, names, samples, seed, message):
     with pytest.raises(solvers.ConfigError, match=re.escape(message)):
