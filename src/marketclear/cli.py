@@ -90,11 +90,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    table = specio.read_trace(args.trace)
-    slope = fit_rate(table, args.ter_star)
-    mask = qualifying_window(table.ter, args.ter_star)
-    t = table.iter[mask]
-    print(f"slope={slope:.6f} window=[{t.min()}, {t.max()}] points={mask.sum()}")
+    trace = specio.read_trace(args.trace)
+    slope = fit_rate(trace, args.ter_star)
+    t = trace.iters[qualifying_window(trace.ter, args.ter_star)]
+    print(f"slope={slope:.6f} window=[{t.min()}, {t.max()}] points={t.size}")
     return 0
 
 

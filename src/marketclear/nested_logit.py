@@ -183,13 +183,12 @@ def conjugate(ns: NestStructure, q) -> float | np.ndarray:
     """
     q = check_array(q, ns.n, "probabilities")
     if np.any(q < -1e-12):
-        raise DomainError("probabilities must be nonnegative")
+        raise DomainError("must be nonnegative", field="probabilities")
     q = np.maximum(q, 0.0)
     total = q.sum(axis=-1)
     if np.any(np.abs(total - 1.0) > SIMPLEX_ATOL):
-        raise DomainError(
-            f"probabilities must sum to 1 within {SIMPLEX_ATOL}; got sum {total}"
-        )
+        raise DomainError(f"must sum to 1 within {SIMPLEX_ATOL}; got sum {total}",
+                          field="probabilities")
     out = np.zeros(q.shape[:-1])
     for idx, mu in zip(ns._idx, ns.mu):
         qn = q[..., idx]

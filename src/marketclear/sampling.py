@@ -168,7 +168,7 @@ def monte_carlo_choice_frequencies(ns: NestStructure, v, samples: int, seed: int
     seed = integer(seed, "seed", 0, DomainError)
     v = check_array(v, ns.n, "utilities")
     if v.ndim != 1:
-        raise DomainError(f"utilities must have shape ({ns.n},)")
+        raise DomainError(f"must have shape ({ns.n},)", field="utilities")
     counts = np.zeros(ns.n, dtype=np.int64)
     for eps in _batches(ns, samples, seed):
         eps += v

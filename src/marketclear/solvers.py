@@ -126,7 +126,8 @@ class SolverConfig:
 
 @dataclass
 class Trace:
-    """Per-iteration solver record; row t describes the iterate p_t, t >= 1.
+    """Per-iteration solver record; row t describes the iterate p_t, and
+    `iters` (t = 1..T) is the one iteration index of every trace.
 
     grad_norm is the natural-map residual ||p_t - [p_t - z(p_t)]_+||_2,
     the direct measure of the market-clearing conditions. `solve` takes
@@ -135,24 +136,25 @@ class Trace:
     bit; z comes from the same calls, and has the bits of the
     single-point oracle.
 
-    The run itself: `oracle_evals` single-point oracle calls (T', the
-    iterations run: the rows kept rounded up to a multiple of 64, at
-    most max_iters) and `blocks` batched calls (one per 64 rows kept),
-    its `wall_s`, and why it stopped, `stop`: "tol" or "max_iters". A
-    reference solve counts its line-search points in `oracle_evals` and
-    its Hessians, one batched call on 2n rows each, in `blocks`, and
-    stops with "no_step" when no step is acceptable. A trace not made by
-    a solver (a test's, or one read back from a file) keeps the defaults.
+    The run itself: its `scheme` and step h, `oracle_evals` single-point
+    oracle calls (T', the iterations run: the rows kept rounded up to a
+    multiple of 64, at most max_iters) and `blocks` batched calls (one
+    per 64 rows kept), its `wall_s`, and why it stopped, `stop`: "tol" or
+    "max_iters". A reference solve counts its line-search points in
+    `oracle_evals` and its Hessians, one batched call on 2n rows each, in
+    `blocks`, and stops with "no_step" when no step is acceptable. A
+    trace not made by a solver (a test's, or one read back from a file by
+    `specio.read_trace`) keeps the defaults.
     """
 
-    scheme: str
-    step: float
     ter: np.ndarray
     grad_norm: np.ndarray
     min_excess: np.ndarray
     complementarity: np.ndarray
     steps: np.ndarray
     price: np.ndarray
+    scheme: str = ""
+    step: float = math.nan
     converged: bool = False
     oracle_evals: int = 0
     blocks: int = 0
@@ -284,7 +286,7 @@ class _Recorder:
         """The trace of the rows kept, ending at the last one's iterate;
         `run` fills the Trace fields that describe the run."""
         cols = (np.concatenate(c) for c in zip(*self.cols))
-        return Trace(scheme, self.h, *cols, self.last, converged, **run)
+        return Trace(*cols, self.last, scheme, self.h, converged, **run)
 
 
 def solve(market: Market, config: SolverConfig | None = None) -> Trace:
@@ -420,8 +422,9 @@ def qualifying_window(ter_values: np.ndarray, ter_star: float) -> np.ndarray:
     return gap > 10.0 * np.finfo(float).eps * abs(ter_star)
 
 
-def fit_rate(trace, ter_star: float) -> float:
-    """Least-squares slope of ln(TER(p_t) - ter_star) against ln t.
+def fit_rate(trace: Trace, ter_star: float) -> float:
+    """Least-squares slope of ln(TER(p_t) - ter_star) against ln t, with
+    t from `trace.iters`, over the rows of `qualifying_window`.
 
     The schemes' O(1/t) and O(1/t^2) rates bound the gap from above;
     near the optimum it decays geometrically, so the slope also depends
@@ -430,13 +433,10 @@ def fit_rate(trace, ter_star: float) -> float:
     ter_star = float(real(ter_star, "ter_star", (), DomainError))
     if not math.isfinite(ter_star):
         raise DomainError(f"ter_star must be finite, got {ter_star}")
-    ter = np.asarray(trace.ter, dtype=float)
-    mask = qualifying_window(ter, ter_star)
+    mask = qualifying_window(trace.ter, ter_star)
     if mask.sum() < 50:
         raise RateFitError(
             f"only {int(mask.sum())} iterations have a resolvable gap; need >= 50"
         )
-    t = np.arange(1, len(ter) + 1)[mask]
-    gap = ter[mask] - ter_star
-    slope, _ = np.polyfit(np.log(t), np.log(gap), 1)
+    slope, _ = np.polyfit(np.log(trace.iters[mask]), np.log(trace.ter[mask] - ter_star), 1)
     return float(slope)

@@ -19,12 +19,13 @@ generate -> write -> parse -> write is byte-identical.
 
 Trace files are CSV with the header TRACE_HEADER, one row per iteration
 at 17 significant digits, and a final comment line `# price = [..]`.
+`read_trace` returns them as a `solvers.Trace`, so the iter column must
+count 1, 2, ..., T, as `Trace.iters` does.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -42,6 +43,7 @@ from .rules import (  # the CODE_* names are re-exported
     StructureError,
     integer,
 )
+from .solvers import Trace
 from .supply import Supplier
 
 # Document names of the constructor fields that are named differently;
@@ -277,20 +279,7 @@ _ROW = np.dtype([(name, int if name == "iter" else float) for name in TRACE_HEAD
 _FLOAT = "%.16e"  # 17 significant digits: every float64 round-trips exactly
 
 
-@dataclass
-class TraceTable:
-    """Numeric columns of a trace file, as read back for rate fitting."""
-
-    iter: np.ndarray
-    ter: np.ndarray
-    grad_norm: np.ndarray
-    min_excess: np.ndarray
-    complementarity: np.ndarray
-    step: np.ndarray
-    price: np.ndarray
-
-
-def write_trace(trace, path: str) -> None:
+def write_trace(trace: Trace, path: str) -> None:
     """Write a solver trace as CSV with the final price in a comment footer."""
     rows = np.column_stack((trace.iters, trace.ter, trace.grad_norm, trace.min_excess,
                             trace.complementarity, trace.steps))
@@ -299,10 +288,11 @@ def write_trace(trace, path: str) -> None:
                    footer=f"# price = [{', '.join(_FLOAT % x for x in trace.price)}]", comments="")
 
 
-def read_trace(path: str) -> TraceTable:
-    """Read a trace file back; lossless for values written by write_trace.
-    Any other file, or a NaN or infinite cell, raises a SpecError with
-    code malformed at its path."""
+def read_trace(path: str) -> Trace:
+    """Read a trace file back as a Trace of its columns and final price,
+    lossless for values written by write_trace. Any other file, an iter
+    column that is not 1, 2, ..., T, or a NaN or infinite cell raises a
+    SpecError with code malformed at its path."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             header, *lines = f.read().split("\n")
@@ -321,9 +311,14 @@ def read_trace(path: str) -> TraceTable:
         price = np.array([float(x) for x in inner.split(",")] if inner else [])
     except ValueError as exc:  # a row or the footer does not parse
         raise SpecError(CODE_MALFORMED, path, str(exc)) from exc
+    wrong = np.flatnonzero(rows["iter"] != np.arange(1, len(rows) + 1))
+    if wrong.size:
+        t = wrong[0]
+        raise SpecError(CODE_MALFORMED, path,
+                        f"row {t + 1}, column iter is {rows['iter'][t]}, expected {t + 1}")
     for name, values in [(name, rows[name]) for name in _ROW.names[1:]] + [("price", price)]:
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             where = f"price[{bad[0]}]" if name == "price" else f"row {bad[0] + 1}, column {name}"
             raise SpecError(CODE_MALFORMED, path, f"{where} is not finite: {values[bad[0]]}")
-    return TraceTable(*(rows[name] for name in _ROW.names), price=price)
+    return Trace(*(rows[name] for name in _ROW.names[1:]), price=price)

@@ -249,7 +249,7 @@ def test_criterion_9_cli_contract(tmp_path):
     r = run("solve", "--market", single, "--max-iters", "3",
             "--trace", str(tmp_path / "t.csv"))
     assert r.returncode == 2
-    assert len(specio.read_trace(str(tmp_path / "t.csv")).iter) == 3
+    assert specio.read_trace(str(tmp_path / "t.csv")).iterations == 3
 
     # verify --suite all exits 0 on the shipped demo specs
     for name in ("single_good.json", "market_n6.json"):

@@ -60,7 +60,7 @@ class TestSolve:
                     "--trace", str(trace_path))
         assert r.returncode == 2
         table = specio.read_trace(str(trace_path))
-        assert len(table.iter) == 3
+        assert table.iterations == 3
 
     def test_oversized_step_refused(self):
         # single-good smoothness constant is 4, so the cap is 0.25

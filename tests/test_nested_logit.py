@@ -293,10 +293,14 @@ class TestConjugate:
 
     def test_rejects_off_simplex(self):
         ns = NestStructure.single(3)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as err:
             conjugate(ns, [0.5, 0.5, 0.5])
-        with pytest.raises(DomainError):
+        assert err.value.field == "probabilities"
+        assert str(err.value) == "probabilities: must sum to 1 within 1e-08; got sum 1.5"
+        with pytest.raises(DomainError) as err:
             conjugate(ns, [1.2, -0.2, 0.0])
+        assert err.value.field == "probabilities"
+        assert str(err.value) == "probabilities: must be nonnegative"
         with pytest.raises(DomainError, match="finite"):
             conjugate(NestStructure.single(2), [np.nan, 1.0])
 

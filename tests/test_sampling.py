@@ -211,6 +211,10 @@ class TestChoiceFrequencies:
             monte_carlo_choice_frequencies(NestStructure.single(2), [0.0, 0.0], 0, 0)
         with pytest.raises(DomainError, match="finite"):
             monte_carlo_choice_frequencies(NestStructure.single(2), [np.nan, 0.0], 10, 0)
+        with pytest.raises(DomainError) as err:
+            monte_carlo_choice_frequencies(NestStructure.single(2), np.zeros((2, 2)), 10, 0)
+        assert err.value.field == "utilities"
+        assert str(err.value) == "utilities: must have shape (2,)"
 
 
 class TestGoldenStreams:

@@ -1,0 +1,36 @@
+"""The scripts under scripts/ run as documented."""
+
+import importlib.util
+import math
+import os
+import subprocess
+
+from conftest import PYTHON, REPO_ROOT, SPEC_DIR
+
+SCRIPTS = REPO_ROOT / "scripts"
+
+
+def test_rate_batch_prints_a_row_per_market():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(REPO_ROOT / "src"), env.get("PYTHONPATH"))))
+    r = subprocess.run([PYTHON, str(SCRIPTS / "rate_batch.py"), "--markets", "2"],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    header, *rows = [line.split() for line in r.stdout.splitlines() if line.strip()]
+    assert header[-2:] == ["slope_b", "slope_a"]
+    rows = [row for row in rows if row[0].isdigit()]  # the market rows, by seed
+    assert [row[0] for row in rows] == ["0", "1"]
+    slopes = [float(row[k]) for row in rows for k in (-2, -1)]  # "n/a" does not parse
+    assert all(math.isfinite(s) for s in slopes)
+
+
+def test_make_demo_specs_regenerates_the_shipped_specs(tmp_path):
+    spec = importlib.util.spec_from_file_location("make_demo_specs",
+                                                  SCRIPTS / "make_demo_specs.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.SPEC_DIR = tmp_path
+    script.main()
+    for name in ("single_good.json", "market_n6.json"):
+        assert (tmp_path / name).read_bytes() == (SPEC_DIR / name).read_bytes(), name

@@ -9,7 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from marketclear import SolverConfig, Trace, UnproductiveMarketError, solve, specio
+from marketclear import (
+    RateFitError,
+    SolverConfig,
+    Trace,
+    UnproductiveMarketError,
+    cli,
+    fit_rate,
+    reference_solve,
+    solve,
+    specio,
+)
 
 from conftest import REPO_ROOT, SPEC_DIR, json_path, set_leaf
 
@@ -252,7 +262,27 @@ class TestRoundTrip:
             assert specio.batch_market(slot) == expected, slot
 
 
+@pytest.fixture(scope="module")
+def n6_runs():
+    """The basic, accelerated and reference traces of market_n6.json, and
+    the reference TER*."""
+    market = specio.load_market(str(SPEC_DIR / "market_n6.json"))
+    ref = reference_solve(market)
+    runs = [solve(market, SolverConfig(scheme=s)) for s in ("basic", "accelerated")]
+    return runs + [ref], market.ter(ref.price)
+
+
+def _slope(trace, ter_star):
+    """fit_rate's slope, or the message of its RateFitError."""
+    try:
+        return fit_rate(trace, ter_star)
+    except RateFitError as exc:
+        return str(exc)
+
+
 class TestTraceFiles:
+    COLUMNS = ("ter", "grad_norm", "min_excess", "complementarity", "steps", "price")
+
     def _trace(self, rows=4):
         rng = np.random.default_rng(0)
         return Trace(
@@ -266,18 +296,28 @@ class TestTraceFiles:
             converged=True,
         )
 
-    def test_round_trip_lossless(self, tmp_path):
+    def test_round_trip_lossless(self, tmp_path, n6_runs):
         trace = self._trace()
         path = tmp_path / "t.csv"
         specio.write_trace(trace, str(path))
         table = specio.read_trace(str(path))
-        np.testing.assert_array_equal(table.iter, np.arange(1, 5))
+        np.testing.assert_array_equal(table.iters, np.arange(1, 5))
         np.testing.assert_array_equal(table.ter, trace.ter)
         np.testing.assert_array_equal(table.grad_norm, trace.grad_norm)
         np.testing.assert_array_equal(table.min_excess, trace.min_excess)
         np.testing.assert_array_equal(table.complementarity, trace.complementarity)
-        np.testing.assert_array_equal(table.step, trace.steps)
+        np.testing.assert_array_equal(table.steps, trace.steps)
         np.testing.assert_array_equal(table.price, trace.price)
+        # real runs: basic, accelerated and the reference solve
+        runs, ter_star = n6_runs
+        for trace in runs:
+            specio.write_trace(trace, str(path))
+            table = specio.read_trace(str(path))
+            assert isinstance(table, Trace) and table.iterations == trace.iterations
+            for name in self.COLUMNS:
+                assert np.array_equal(getattr(table, name), getattr(trace, name)), name
+            assert _slope(table, ter_star) == _slope(trace, ter_star)
+        assert isinstance(_slope(runs[0], ter_star), float)
 
     def test_header_and_footer_format(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -306,12 +346,12 @@ class TestTraceFiles:
         path = tmp_path / "t.csv"
         path.write_text(specio.TRACE_HEADER + "\n\n  \n# note\n# price = [1.5]\n")
         table = specio.read_trace(str(path))
-        assert table.iter.dtype == np.int64 and table.iter.shape == (0,)
+        assert table.iters.dtype == np.int64 and table.iters.shape == (0,)
         assert table.ter.dtype == np.float64 and table.ter.shape == (0,)
         np.testing.assert_array_equal(table.price, [1.5])
         path.write_text(specio.TRACE_HEADER + "\n1,0,0,0,0,0.1\n\n# a comment\n"
                         " 2,1,1,1,1,0.1 \n# price = [1.5]\n")
-        np.testing.assert_array_equal(specio.read_trace(str(path)).iter, [1, 2])
+        np.testing.assert_array_equal(specio.read_trace(str(path)).iters, [1, 2])
 
     @pytest.mark.parametrize("row, footer", [
         ("1,0,0,0,0", "# price = [1.5]"), ("1,0,0,0,0,0.1,0", "# price = [1.5]"),
@@ -343,6 +383,39 @@ class TestTraceFiles:
         specio.write_trace(trace, str(path))
         with pytest.raises(specio.SpecError, match=r"price\[2\] is not finite: nan"):
             specio.read_trace(str(path))
+
+    def _cut_basic_trace(self, tmp_path, n6_runs, cut):
+        """The basic run's trace file, its data rows cut: the first 200
+        dropped (head), rows 1, 2, 2, 3 (repeat) or rows 1, 2, 4 (gap)."""
+        path = tmp_path / "t.csv"
+        (basic, _, _), _ = n6_runs
+        specio.write_trace(basic, str(path))
+        header, *rows, footer = path.read_text().splitlines(keepends=True)
+        keep = {"head": rows[200:], "repeat": rows[:2] + rows[1:3], "gap": rows[:2] + rows[3:4]}
+        path.write_text(header + "".join(keep[cut]) + footer)
+        return path
+
+    @pytest.mark.parametrize("cut, message", [
+        ("head", "row 1, column iter is 201, expected 1"),
+        ("repeat", "row 3, column iter is 2, expected 3"),
+        ("gap", "row 3, column iter is 4, expected 3"),
+    ], ids=["head", "repeat", "gap"])
+    def test_rejects_iteration_column_not_counting_from_1(self, tmp_path, n6_runs, cut,
+                                                         message):
+        path = self._cut_basic_trace(tmp_path, n6_runs, cut)
+        with pytest.raises(specio.SpecError) as err:
+            specio.read_trace(str(path))
+        assert (err.value.code, err.value.path) == (specio.CODE_MALFORMED, str(path))
+        assert str(err.value) == f"{path}: {message} [malformed]"
+
+    def test_rate_refuses_a_head_cut_trace(self, tmp_path, n6_runs, capsys):
+        # rate used to fit this file against t = 1..T - 200 and exit 0
+        path = self._cut_basic_trace(tmp_path, n6_runs, "head")
+        _, ter_star = n6_runs
+        assert cli.main(["rate", "--trace", str(path), f"--ter-star={ter_star!r}"]) == 1
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr == f"error: {path}: row 1, column iter is 201, expected 1 [malformed]\n"
 
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"
