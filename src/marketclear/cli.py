@@ -16,7 +16,7 @@ import sys
 
 from . import specio, verify
 from .rules import ConfigError, MarketclearError
-from .solvers import SCHEMES, SolverConfig, fit_rate, qualifying_window, solve
+from .solvers import SCHEMES, SolverConfig, _fit_rate_window, solve
 
 log = logging.getLogger("marketclear.cli")
 
@@ -91,8 +91,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_rate(args) -> int:
     trace = specio.read_trace(args.trace)
-    slope = fit_rate(trace, args.ter_star)
-    t = trace.iters[qualifying_window(trace.ter, args.ter_star)]
+    slope, mask = _fit_rate_window(trace, args.ter_star)
+    t = trace.iters[mask]
     print(f"slope={slope:.6f} window=[{t.min()}, {t.max()}] points={t.size}")
     return 0
 

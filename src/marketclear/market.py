@@ -15,26 +15,32 @@ flat layout that the market builds once, at construction:
   of a flat array of J * n elements; each element holds one good of one
   type. The layout keeps the good of each element (a gather from the
   price vector), its utility and the 1/mu of its nest, the segment
-  starts and each segment's mu. One `np.maximum.reduceat` and one
-  `np.add.reduceat` give every nest's log-sum-exp, hence its inclusive
-  value; a second pair over the segments of each type gives the
-  surplus per type. The choice probabilities reuse the same
+  starts (and the same runs as slices) and each segment's mu. A maximum
+  and a sum over each segment give every nest's log-sum-exp, hence its
+  inclusive value; a second pair over the segments of each type gives
+  the surplus per type. The choice probabilities reuse the same
   exponentials.
 - Suppliers. Their data are stacked into (K, n) arrays, so the best
   responses of all suppliers are one clip and their profits one sum.
 
 One body, `_FlatMarket.kernel`, evaluates the layout, and the rank of
-the prices picks the only two things that differ. One price vector of
-shape (n,) reads the constants as they are and sums demand per good
-with one `np.bincount`, which keeps the per-call numpy overhead of the
-solver loop low. A block with the goods on the first axis and
-evaluation points on the second reads column views of the same
-constants (`_FlatMarket.col`) and sums demand per good through a
-precomputed inverse gather; `Market` evaluates a block of prices in
-chunks of `_CHUNK_ROWS` rows, which bounds the flat and stacked
-temporaries alive at once. Both give bit-identical results on one price
-vector. `Market.ter` and `Market.ter_gradient` call the same kernel and
-compute only their own half.
+the prices picks the only things that differ: how it reads the
+constants and how it reduces. One price vector of shape (n,) reads the
+constants as they are, takes the maxima with `np.maximum.reduceat` and
+sums each nest, each type and the demand per good with `np.bincount`,
+which keeps the per-call numpy overhead of the solver loop low. A block
+with the goods on the first axis and evaluation points on the second
+reads column views of the same constants (`_FlatMarket.col`), reduces
+each segment, a contiguous run of rows, with one numpy call vectorised
+over all points (`_block_max`, `_block_sum`) and sums demand per good
+through a precomputed inverse gather; `Market` evaluates a block of
+prices in chunks of `_CHUNK_ROWS` rows, which bounds the flat and
+stacked temporaries alive at once. Both ranks sum every nest and every
+type in element order, and a maximum is exact in any order, so every
+row of a block gets the z of the point call bit for bit, and one price
+vector gives bit-identical TER and z at both ranks. `Market.ter` and
+`Market.ter_gradient` call the same kernel and compute only their own
+half.
 
 The solvers check their start prices once and then call the kernel
 directly, without the input checks of the public methods.
@@ -57,11 +63,14 @@ from .rules import CODE_MALFORMED, check_array, integer, real, require, require_
 from .supply import Supplier
 
 # Rows of a price block evaluated per kernel pass. The pass keeps
-# several (J*n, rows) and (K, n, rows) temporaries alive together, and
-# 256 rows keeps them cache-sized: a whole 4096-row block at once was
-# 38% slower on the 20 acceptance-batch markets and raised peak memory,
-# while 512 or 1024 rows were within 7% of 256.
-_CHUNK_ROWS = 256
+# several (J*n, rows) and (K, n, rows) temporaries alive together, which
+# favours few rows, and reduces each nest and each consumer type with one
+# numpy call per chunk, which favours many. On block `ter` + `ter_gradient`
+# over the 20 acceptance-batch markets (4096-row blocks, one core of a
+# 2-CPU machine, numpy 2.4.6, median of 15 passes), 1024 rows took 116 ms,
+# 512 rows 131 ms, 2048 rows 136 ms and 256 rows 162 ms; peak memory of
+# three such passes was 2 MB higher at 1024 rows than at 256.
+_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -261,6 +270,8 @@ class _FlatMarket:
         self.seg_of = np.repeat(np.arange(len(seg_len)), seg_len)
         self.type_start = np.array(type_start, dtype=np.intp)
         self.type_of = np.array(type_of, dtype=np.intp)
+        self.seg_slices = _slices(self.seg_start, len(self.goods))
+        self.type_slices = _slices(self.type_start, len(seg_len))
         self.count = np.array([ct.count for ct in market.consumers])
         # element of (type j, good i) at position j * n + i
         owner = np.repeat(np.arange(self.n_types), n)  # type of each element
@@ -292,7 +303,8 @@ class _FlatMarket:
         shape (n,), or a block of shape (n, R) with one evaluation point
         per column, giving TER of shape (R,) and z of shape (n, R).
         """
-        c = self if x.ndim == 1 else self.col
+        point = x.ndim == 1
+        c = self if point else self.col
         y = (x + c.offset) * c.inv_slope  # supplier stationary points
         np.maximum(y, c.lo, out=y)
         np.minimum(y, c.hi, out=y)
@@ -300,14 +312,18 @@ class _FlatMarket:
         w = x[self.goods]
         np.subtract(c.a, w, out=w)
         w *= c.inv_mu  # v / mu, element by element
-        top = np.maximum.reduceat(w, self.seg_start)
+        top = (np.maximum.reduceat(w, self.seg_start) if point
+               else _block_max(w, self.seg_slices))
         w -= top[self.seg_of]
         np.exp(w, out=w)
-        within = np.add.reduceat(w, self.seg_start)
+        within = (np.bincount(self.seg_of, w) if point
+                  else _block_sum(w, self.seg_of, self.seg_slices))
         iv = c.seg_mu * (top + np.log(within))  # inclusive values
-        top_iv = np.maximum.reduceat(iv, self.type_start)
+        top_iv = (np.maximum.reduceat(iv, self.type_start) if point
+                  else _block_max(iv, self.type_slices))
         nest = np.exp(iv - top_iv[self.type_of])
-        total = np.add.reduceat(nest, self.type_start)
+        total = (np.bincount(self.type_of, nest) if point
+                 else _block_sum(nest, self.type_of, self.type_slices))
 
         ter = z = None
         if value:
@@ -317,10 +333,40 @@ class _FlatMarket:
             # count_j * P(nest) / (within-nest sum) turns w = exp(v/mu - top)
             # into the demand of each element
             w *= (nest * (c.seg_count / (total[self.type_of] * within)))[self.seg_of]
-            if x.ndim == 1:
+            if point:
                 demand = np.bincount(self.goods, w, self.n)
             else:
                 demand = w.take(self.inverse, axis=0).reshape(
                     self.n_types, -1, x.shape[1]).sum(axis=0)
             z = np.add.reduce(y, 0) - demand
         return ter, z
+
+
+def _slices(starts: np.ndarray, end: int) -> list[slice]:
+    """The runs [starts[k], starts[k + 1]) of an axis of length end."""
+    bounds = [*starts.tolist(), end]
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _block_max(a: np.ndarray, slices: list[slice]) -> np.ndarray:
+    """Maximum of each run of rows of a, column by column."""
+    out = np.empty((len(slices), a.shape[1]))
+    for s, o in zip(slices, out):
+        np.maximum.reduce(a[s], 0, out=o)
+    return out
+
+
+def _block_sum(a: np.ndarray, ids: np.ndarray, slices: list[slice]) -> np.ndarray:
+    """Sum of each run of rows of a, column by column, in element order.
+
+    `np.bincount` sums one price vector in element order too, so a block
+    column gives the bits of the point call. Numpy collapses a one-column
+    run into a 1-D reduction and sums it pairwise, so a one-column block
+    goes through `np.bincount` of its column (ids gives each row's run).
+    """
+    if a.shape[1] == 1:
+        return np.bincount(ids, a[:, 0])[:, None]
+    out = np.empty((len(slices), a.shape[1]))
+    for s, o in zip(slices, out):
+        np.add.reduce(a[s], 0, out=o)
+    return out

@@ -430,6 +430,11 @@ def fit_rate(trace: Trace, ter_star: float) -> float:
     near the optimum it decays geometrically, so the slope also depends
     on the window's floor. Requires at least 50 qualifying iterations.
     """
+    return _fit_rate_window(trace, ter_star)[0]
+
+
+def _fit_rate_window(trace: Trace, ter_star: float) -> tuple[float, np.ndarray]:
+    """`fit_rate`'s slope and the `qualifying_window` mask it fitted."""
     ter_star = float(real(ter_star, "ter_star", (), DomainError))
     if not math.isfinite(ter_star):
         raise DomainError(f"ter_star must be finite, got {ter_star}")
@@ -439,4 +444,4 @@ def fit_rate(trace: Trace, ter_star: float) -> float:
             f"only {int(mask.sum())} iterations have a resolvable gap; need >= 50"
         )
     slope, _ = np.polyfit(np.log(trace.iters[mask]), np.log(trace.ter[mask] - ter_star), 1)
-    return float(slope)
+    return float(slope), mask

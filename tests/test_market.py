@@ -303,6 +303,8 @@ def _oracle_markets():
         "batch-like": specio.market_from_document(specio.generate_market(9, 3, 4, seed=17)),
         "J=1,K=1": one_one,
         "singleton-nests": singletons,
+        # nests of 9 and 10 goods: numpy sums 8 or more in one call pairwise
+        "long-nests": specio.market_from_document(specio.generate_market(12, 2, 2, seed=23)),
     }
 
 
@@ -357,14 +359,19 @@ class TestFusedOracle:
             np.testing.assert_array_equal(z, z_b[0])
 
     def test_block_rows_match_single_points(self, name):
+        # both ranks sum z in element order, so every row gets the point
+        # call's bits, also the row alone in the one-column last chunk of a
+        # window of _CHUNK_ROWS + 1 rows; block TER sums the profits in
+        # another order
         m = ORACLE_MARKETS[name]
         block = _oracle_points(m.n)["block"]
-        ter, z = m.value_and_grad(block)
-        for r in (0, _CHUNK_ROWS - 1, _CHUNK_ROWS, len(block) - 1):
-            ter_r, z_r = m.value_and_grad(block[r])
-            assert isinstance(ter_r, float)
-            assert_close(ter[r], ter_r)
-            assert_close(z[r], z_r)
+        for rows in [block] + [block[k:k + _CHUNK_ROWS + 1] for k in range(8)]:
+            ter, z = m.value_and_grad(rows)
+            for r in (0, _CHUNK_ROWS - 1, _CHUNK_ROWS, len(rows) - 1):
+                ter_r, z_r = m.value_and_grad(rows[r])
+                assert isinstance(ter_r, float)
+                assert_close(ter[r], ter_r)
+                np.testing.assert_array_equal(z[r], z_r)
 
 
 @given(st.integers(1, 20), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**31), st.data())
