@@ -24,6 +24,14 @@ error by a few ulps (under 1e-14 on market_n6.json) and keeps it finite
 for small mu, where S itself under- or overflows. Exact floating-point
 argmax ties (a measure-zero event) resolve to the lowest index via
 np.argmax.
+
+Workspace contract: ``_batches`` allocates one workspace per stream (the
+error block, the Gumbel and stable-uniform buffers and the scratch of
+``_log_stable``) and writes every batch into it, so the next batch
+overwrites each array it yielded. Every consumer must reduce a batch
+before it draws the next, as ``monte_carlo_choice_frequencies`` and
+``empirical_error_covariance`` do. Public ``sample_nested_errors`` draws
+into a workspace of its own and returns a fresh array.
 """
 
 from __future__ import annotations
@@ -50,11 +58,10 @@ def _size(size):
     return integer(size, "size", 0, DomainError)
 
 
-def _open_uniform(rng: np.random.Generator, size=None) -> np.ndarray:
-    """Uniform on the open interval (0, 1): k / 2^53, k in [1, 2^53)."""
-    u = rng.integers(1, _TWO_53, size=size).astype(float)
-    u *= 2.0**-53
-    return u
+def _open_uniform(rng: np.random.Generator, size=None, out=None) -> np.ndarray:
+    """Uniform on the open interval (0, 1): k / 2^53, k in [1, 2^53),
+    written into ``out`` when given."""
+    return np.multiply(rng.integers(1, _TWO_53, size=size), 2.0**-53, out=out)
 
 
 def _gumbel_inplace(u: np.ndarray) -> np.ndarray:
@@ -72,8 +79,9 @@ def standard_gumbel(rng: np.random.Generator, size=None):
     return g[0] if size is None else g
 
 
-def _log_sin(x: np.ndarray) -> np.ndarray:
-    """ln sin x for x in (0, pi), in place, from t = tan(x / 2).
+def _log_sin(x: np.ndarray, t2: np.ndarray | None = None) -> np.ndarray:
+    """ln sin x for x in (0, pi), in place, from t = tan(x / 2); ``t2``,
+    shaped like x, is overwritten with 1 + t^2 (a fresh array when None).
 
     sin x = 2t / (1 + t^2). numpy evaluates float64 ``tan`` with a SIMD
     kernel and ``sin`` with a scalar one (65,536 values, numpy 2.4.6 on an
@@ -86,14 +94,15 @@ def _log_sin(x: np.ndarray) -> np.ndarray:
     """
     x *= 0.5
     np.tan(x, out=x)
-    t2 = np.square(x)
+    t2 = np.square(x, out=t2)
     t2 += 1.0
     x /= t2
     x *= 2.0
     return np.log(x, out=x)
 
 
-def _log_stable(alpha: float, u_phi: np.ndarray, u_w: np.ndarray) -> np.ndarray:
+def _log_stable(alpha: float, u_phi: np.ndarray, u_w: np.ndarray,
+                scratch=None) -> np.ndarray:
     """ln S of the Kanter formula (see ``positive_stable``), in logs.
 
     With phi = pi * u_phi and W = -ln u_w,
@@ -102,16 +111,19 @@ def _log_stable(alpha: float, u_phi: np.ndarray, u_w: np.ndarray) -> np.ndarray:
                + ((1 - alpha) / alpha) (ln sin((1 - alpha) phi) - ln W).
 
     No power is taken, so ln S stays finite where S itself under- or
-    overflows (alpha near 0). Both uniform arrays are overwritten.
+    overflows (alpha near 0). Both uniform arrays are overwritten, and so
+    are the three arrays of ``scratch`` (fresh ones when None), each
+    shaped like u_phi; ln S is returned in the first of them.
     """
+    a_phi, b_phi, t2 = (np.empty_like(u_phi) for _ in range(3)) if scratch is None else scratch
     phi = u_phi
     phi *= np.pi
-    ln_s = _log_sin(alpha * phi)
-    tail = _log_sin((1.0 - alpha) * phi)
+    ln_s = _log_sin(np.multiply(alpha, phi, out=a_phi), t2)
+    tail = _log_sin(np.multiply(1.0 - alpha, phi, out=b_phi), t2)
     tail += _gumbel_inplace(u_w)  # the Gumbel -ln(-ln u_w) is -ln W
     tail *= (1.0 - alpha) / alpha
     ln_s += tail
-    ln_sin_phi = _log_sin(phi)
+    ln_sin_phi = _log_sin(phi, t2)
     ln_sin_phi /= alpha
     ln_s -= ln_sin_phi
     return ln_s
@@ -138,28 +150,51 @@ def positive_stable(alpha: float, rng: np.random.Generator, size=None):
     return s[0] if size is None else s
 
 
+class _Workspace:
+    """The arrays one sample stream draws into, allocated once for batches
+    of up to ``rows`` rows and overwritten by every ``draw``."""
+
+    def __init__(self, ns: NestStructure, rows: int):
+        # nests are sorted; adjacent goods take a column slice, much cheaper
+        # to write than a fancy index
+        self.nests = [
+            (len(nest), mu,
+             slice(nest[0], nest[-1] + 1) if nest[-1] - nest[0] == len(nest) - 1 else list(nest))
+            for nest, mu in zip(ns.nests, ns.mu)
+        ]
+        self.eps = np.empty((rows, ns.n))
+        self.gumbel = np.empty(rows * max(size for size, _, _ in self.nests))
+        self.uniform = np.empty(2 * rows)  # phi's uniforms, then W's
+        self.scratch = np.empty((3, rows))  # for _log_stable
+
+    def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        """m exact joint draws, a view of the workspace of shape (m, n)."""
+        eps = self.eps[:m]
+        for size, mu, idx in self.nests:
+            g = self.gumbel[:m * size].reshape(m, size)
+            _gumbel_inplace(_open_uniform(rng, g.shape, out=g))
+            if mu != 1.0:
+                u = _open_uniform(rng, 2 * m, out=self.uniform[:2 * m])
+                g += _log_stable(mu, u[:m], u[m:], self.scratch[:, :m])[:, None]
+                g *= mu
+            eps[:, idx] = g
+        return eps
+
+
 def sample_nested_errors(ns: NestStructure, rng: np.random.Generator, size: int | None = None):
     """Exact draws from the nested logit joint; shape (size, n) or (n,)."""
     m = 1 if size is None else integer(size, "size", 0, DomainError)
-    eps = np.empty((m, ns.n))
-    for nest, mu in zip(ns.nests, ns.mu):
-        # nests are sorted; adjacent goods take a column slice, much cheaper
-        # to write than a fancy index
-        idx = slice(nest[0], nest[-1] + 1) if nest[-1] - nest[0] == len(nest) - 1 else list(nest)
-        g = _gumbel_inplace(_open_uniform(rng, (m, len(nest))))
-        if mu != 1.0:
-            u = _open_uniform(rng, 2 * m)  # phi's uniforms, then W's
-            g += _log_stable(mu, u[:m], u[m:])[:, None]
-            g *= mu
-        eps[:, idx] = g
+    eps = _Workspace(ns, m).draw(rng, m)
     return eps[0] if size is None else eps
 
 
 def _batches(ns: NestStructure, samples: int, seed: int):
-    """Exact joint draws from one seeded stream, in blocks of BATCH_SIZE rows."""
+    """Exact joint draws from one seeded stream, in blocks of BATCH_SIZE rows,
+    each written over the last (see the workspace contract above)."""
     rng = np.random.default_rng(seed)
+    workspace = _Workspace(ns, min(BATCH_SIZE, samples))
     for done in range(0, samples, BATCH_SIZE):
-        yield sample_nested_errors(ns, rng, size=min(BATCH_SIZE, samples - done))
+        yield workspace.draw(rng, min(BATCH_SIZE, samples - done))
 
 
 def monte_carlo_choice_frequencies(ns: NestStructure, v, samples: int, seed: int) -> np.ndarray:

@@ -15,9 +15,9 @@ from marketclear import (
     sample_nested_errors,
     standard_gumbel,
 )
-from marketclear.sampling import BATCH_SIZE, _log_stable
+from marketclear.sampling import BATCH_SIZE, _batches, _log_stable
 from marketclear.specio import load_market
-from marketclear.verify import VARIANCE_TOL
+from marketclear.verify import VARIANCE_TOL, suite_correlation, suite_montecarlo
 
 from conftest import SPEC_DIR
 
@@ -136,6 +136,15 @@ class TestLogStable:
         assert np.all(np.isfinite(ln_s))
         err = np.abs(ln_s[ok] - direct[ok])
         assert np.all(err <= 1e-13 * (1.0 + np.abs(direct[ok])))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.6036386071663626, 0.9964002267475143])
+    def test_scratch_arrays_change_no_bit(self, alpha):
+        u = self.K * 2.0**-53
+        u_w = np.random.default_rng(2).permutation(u)
+        scratch = np.full((3, u.size), np.nan)
+        ln_s = _log_stable(alpha, u.copy(), u_w.copy(), scratch)
+        assert np.shares_memory(ln_s, scratch[0])
+        np.testing.assert_array_equal(ln_s, _log_stable(alpha, u.copy(), u_w.copy()))
 
 
 class TestNestedErrors:
@@ -275,6 +284,71 @@ class TestGoldenStreamsSeveralNests:
             [0.0006591139135039281, -0.002998498710391151, -0.0014835750390121971,
              -0.0006621472164581865, 0.003110964475103284, 1.6269450460852841],
         ], rtol=1e-13, atol=1e-14)
+
+
+def _market_n6():
+    return load_market(str(SPEC_DIR / "market_n6.json"))
+
+
+class TestWorkspaceStream:
+    """`_batches` draws every batch of a stream into one workspace; the
+    batches equal successive `sample_nested_errors` calls on one generator,
+    including the short last batch."""
+
+    SAMPLES = 3 * BATCH_SIZE + 17
+
+    @pytest.fixture(scope="class", params=[0, 1, "unit mu"])
+    def ns(self, request):
+        """The two consumer types of market_n6.json (type 0 has a
+        non-adjacent nest with mu near 0.996 and a single-good nest) and a
+        structure with a mu = 1 nest."""
+        if request.param == "unit mu":
+            return NestStructure(5, ((0, 2, 3), (1, 4)), (1.0, 0.8))
+        return _market_n6().consumers[request.param].nests
+
+    def test_batches_equal_successive_draws(self, ns):
+        rng = np.random.default_rng(3)
+        sizes = []
+        for eps in _batches(ns, self.SAMPLES, 3):
+            np.testing.assert_array_equal(eps, sample_nested_errors(ns, rng, len(eps)))
+            sizes.append(len(eps))
+        assert sizes == [BATCH_SIZE] * 3 + [17]
+
+    def test_batches_share_one_buffer(self, ns):
+        first, *rest = _batches(ns, self.SAMPLES, 3)
+        assert all(np.shares_memory(first, eps) for eps in rest)
+        rng = np.random.default_rng(3)
+        assert not np.shares_memory(sample_nested_errors(ns, rng, 4),
+                                    sample_nested_errors(ns, rng, 4))
+
+
+class TestGoldenSuiteValues:
+    """The `montecarlo` and `correlation` checks on market_n6.json over more
+    than one batch, recorded before the sampler drew into a reused
+    workspace; the draw must not move a bit."""
+
+    SAMPLES = 3 * BATCH_SIZE + 17
+
+    def test_frequency_gaps(self):
+        rows = suite_montecarlo(_market_n6(), self.SAMPLES, 0)
+        assert [(r.name, r.value) for r in rows] == [
+            ("consumer[0] frequency gap", 0.0011216903769755149),
+            ("consumer[1] frequency gap", 0.0005632104265945737),
+        ]
+
+    def test_correlation_rows(self):
+        rows = suite_correlation(_market_n6(), self.SAMPLES, 0)
+        assert [r.name for r in rows] == [
+            "consumer[0] marginal variance dev", "consumer[0] within-nest corr dev",
+            "consumer[0] cross-nest corr", "consumer[1] marginal variance dev",
+            "consumer[1] within-nest corr dev",
+        ]
+        # exact on the recording machine; the tolerance only absorbs
+        # last-bit differences between libm builds of log and tan
+        np.testing.assert_allclose([r.value for r in rows], [
+            0.01099525238128285, 0.002164602526086419, 0.003809125545935172,
+            0.00909253465351445, 0.002854586316353158,
+        ], rtol=1e-13, atol=0)
 
 
 class TestErrorCorrelation:
