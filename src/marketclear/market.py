@@ -32,8 +32,8 @@ which keeps the per-call numpy overhead of the solver loop low. A block
 with the goods on the first axis and evaluation points on the second
 reads column views of the same constants (`_FlatMarket.col`), reduces
 each segment, a contiguous run of rows, with one numpy call vectorised
-over all points (`_block_max`, `_block_sum`) and sums demand per good
-through a precomputed inverse gather; `Market` evaluates a block of
+over all points (`_block_reduce`) and sums demand per good through a
+precomputed inverse gather. `_FlatMarket.evaluate` takes a block of
 prices in chunks of `_CHUNK_ROWS` rows, which bounds the flat and
 stacked temporaries alive at once. Both ranks sum every nest and every
 type in element order, and a maximum is exact in any order, so every
@@ -42,8 +42,9 @@ vector gives bit-identical TER and z at both ranks. `Market.ter` and
 `Market.ter_gradient` call the same kernel and compute only their own
 half.
 
-The solvers check their start prices once and then call the kernel
-directly, without the input checks of the public methods.
+The public methods check their prices (`check_array`) and call
+`_FlatMarket.evaluate`; the solvers check their start prices once and
+then call the kernel and the evaluator directly, without that check.
 `clearing_residuals` computes the natural-map residual, min z and
 <p, z> of one price vector or of each row of a block, for
 `Market.equilibrium_residual` and the solver records alike. The public
@@ -168,7 +169,7 @@ class Market:
         Batched over leading axes like `ter` and `ter_gradient`, and
         equal to the pair of them.
         """
-        return self._evaluate(p, value=True, grad=True)
+        return self._flat.evaluate(check_array(p, self.n, "prices"), True, True)
 
     def ter(self, p) -> float | np.ndarray:
         """Total expected revenue at prices p (batched over leading axes).
@@ -176,30 +177,11 @@ class Market:
         Defined for all finite p: the potential extends smoothly off the
         nonnegative orthant, which the accelerated scheme relies on.
         """
-        return self._evaluate(p, value=True, grad=False)[0]
+        return self._flat.evaluate(check_array(p, self.n, "prices"), True, False)[0]
 
     def ter_gradient(self, p) -> np.ndarray:
         """Excess supply z(p) = sum_k y_k(p) - sum_j count_j x_j(p)."""
-        return self._evaluate(p, value=False, grad=True)[1]
-
-    def _evaluate(self, p, value: bool, grad: bool):
-        p = check_array(p, self.n, "prices")
-        if p.ndim == 1:
-            ter, z = self._flat.kernel(p, value, grad)
-            return (float(ter) if value else None), z
-        rows = p.reshape(-1, self.n)
-        ter = np.empty(len(rows)) if value else None
-        z = np.empty(rows.shape) if grad else None
-        for r0 in range(0, len(rows), _CHUNK_ROWS):
-            r1 = r0 + _CHUNK_ROWS
-            # a contiguous copy: broadcasting over a transposed view is slower
-            t, g = self._flat.kernel(np.ascontiguousarray(rows[r0:r1].T), value, grad)
-            if value:
-                ter[r0:r1] = t
-            if grad:
-                z[r0:r1] = g.T
-        return (ter.reshape(p.shape[:-1]) if value else None,
-                z.reshape(p.shape) if grad else None)
+        return self._flat.evaluate(check_array(p, self.n, "prices"), False, True)[1]
 
     def smoothness_constant(self) -> float:
         """Gradient Lipschitz bound sum_j count_j / min_l mu_jl + sum_k 1 / gamma_k."""
@@ -296,6 +278,27 @@ class _FlatMarket:
         self.__dict__.update(floats)
         self.col = SimpleNamespace(**{k: v[..., None] for k, v in floats.items()})
 
+    def evaluate(self, p: np.ndarray, value: bool, grad: bool):
+        """TER and z at prices p of shape (..., n), each computed only if
+        asked for, without input checks: one price vector takes one kernel
+        pass, a batch is evaluated in chunks of `_CHUNK_ROWS` rows."""
+        if p.ndim == 1:
+            ter, z = self.kernel(p, value, grad)
+            return (float(ter) if value else None), z
+        rows = p.reshape(-1, self.n)
+        ter = np.empty(len(rows)) if value else None
+        z = np.empty(rows.shape) if grad else None
+        for r0 in range(0, len(rows), _CHUNK_ROWS):
+            r1 = r0 + _CHUNK_ROWS
+            # a contiguous copy: broadcasting over a transposed view is slower
+            t, g = self.kernel(np.ascontiguousarray(rows[r0:r1].T), value, grad)
+            if value:
+                ter[r0:r1] = t
+            if grad:
+                z[r0:r1] = g.T
+        return (ter.reshape(p.shape[:-1]) if value else None,
+                z.reshape(p.shape) if grad else None)
+
     def kernel(self, x: np.ndarray, value: bool, grad: bool):
         """TER and z at prices x, each computed only if asked for.
 
@@ -313,14 +316,14 @@ class _FlatMarket:
         np.subtract(c.a, w, out=w)
         w *= c.inv_mu  # v / mu, element by element
         top = (np.maximum.reduceat(w, self.seg_start) if point
-               else _block_max(w, self.seg_slices))
+               else _block_reduce(np.maximum, w, self.seg_slices))
         w -= top[self.seg_of]
         np.exp(w, out=w)
         within = (np.bincount(self.seg_of, w) if point
                   else _block_sum(w, self.seg_of, self.seg_slices))
         iv = c.seg_mu * (top + np.log(within))  # inclusive values
         top_iv = (np.maximum.reduceat(iv, self.type_start) if point
-                  else _block_max(iv, self.type_slices))
+                  else _block_reduce(np.maximum, iv, self.type_slices))
         nest = np.exp(iv - top_iv[self.type_of])
         total = (np.bincount(self.type_of, nest) if point
                  else _block_sum(nest, self.type_of, self.type_slices))
@@ -348,11 +351,11 @@ def _slices(starts: np.ndarray, end: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _block_max(a: np.ndarray, slices: list[slice]) -> np.ndarray:
-    """Maximum of each run of rows of a, column by column."""
+def _block_reduce(ufunc: np.ufunc, a: np.ndarray, slices: list[slice]) -> np.ndarray:
+    """ufunc's reduction of each run of rows of a, column by column."""
     out = np.empty((len(slices), a.shape[1]))
     for s, o in zip(slices, out):
-        np.maximum.reduce(a[s], 0, out=o)
+        ufunc.reduce(a[s], 0, out=o)
     return out
 
 
@@ -366,7 +369,4 @@ def _block_sum(a: np.ndarray, ids: np.ndarray, slices: list[slice]) -> np.ndarra
     """
     if a.shape[1] == 1:
         return np.bincount(ids, a[:, 0])[:, None]
-    out = np.empty((len(slices), a.shape[1]))
-    for s, o in zip(slices, out):
-        np.add.reduce(a[s], 0, out=o)
-    return out
+    return _block_reduce(np.add, a, slices)

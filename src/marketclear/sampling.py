@@ -17,11 +17,10 @@ k drawn from [1, 2^53), so both endpoints of (0, 1) are excluded; draws
 are consumed nest by nest (the nest's Gumbels first, then the uniforms
 of its stable variate, phi's before W's) in fixed-size batches.
 Identical (instance, seed, samples) therefore yield bit-identical
-outputs. The same uniforms are read in the same order as in earlier
-releases, so outputs equal theirs up to rounding: ln S is now computed
-in logs (``_log_stable``) instead of as the log of S, which moves an
-error by a few ulps (under 1e-14 on market_n6.json) and keeps it finite
-for small mu, where S itself under- or overflows. Exact floating-point
+outputs. ln S is computed in logs (``_log_stable``), not as the log of
+S, which keeps it finite for small mu, where S itself under- or
+overflows; on the same uniforms it is within a few ulps of the log of S
+(under 1e-14 on market_n6.json). Exact floating-point
 argmax ties (a measure-zero event) resolve to the lowest index via
 np.argmax.
 

@@ -14,10 +14,12 @@ so b_1 = 0 as well. `solve` runs one loop for both, in blocks of 64
 iterations; the scheme chooses the momentum sequence and nothing else.
 Each iteration makes one single-point call for z(q_t), with q_t = p_t
 where the momentum is zero. At the end of a block one batched call of
-`Market.value_and_grad` prices all of its iterates, and one call of
-`clearing_residuals` gives the stop test and every trace column. The
-first row whose residual is at most tol ends the solve, and the rows
-after it are dropped. With T the iterations kept and T' those run (T
+the market's unchecked evaluator prices all of its iterates, and one
+call of `clearing_residuals` gives the stop test and every trace column.
+The first row whose residual is at most tol ends the solve, and the rows
+after it are dropped. A non-finite iterate ends its block: the rows
+before it are priced, and unless one of them meets tol the solve raises
+DivergedError there. With T the iterations kept and T' those run (T
 rounded up to a multiple of 64, at most max_iters), each scheme makes
 T' single-point oracle calls and ceil(T / 64) block calls; the trace and
 the closing log line report both counts.
@@ -131,20 +133,20 @@ class Trace:
 
     grad_norm is the natural-map residual ||p_t - [p_t - z(p_t)]_+||_2,
     the direct measure of the market-clearing conditions. `solve` takes
-    the ter column from batched calls, 64 iterates each, so it agrees
-    with single-point TER(p_t) to 1e-12 * max(1, |TER|), not bit for
-    bit; z comes from the same calls, and has the bits of the
-    single-point oracle.
+    the ter column from batched calls of the market's unchecked
+    evaluator, 64 iterates each, so it agrees with single-point TER(p_t)
+    to 1e-12 * max(1, |TER|), not bit for bit; z comes from the same
+    calls, and has the bits of the single-point oracle.
 
     The run itself: its `scheme` and step h, `oracle_evals` single-point
     oracle calls (T', the iterations run: the rows kept rounded up to a
     multiple of 64, at most max_iters) and `blocks` batched calls (one
-    per 64 rows kept), its `wall_s`, and why it stopped, `stop`: "tol" or
-    "max_iters". A reference solve counts its line-search points in
-    `oracle_evals` and its Hessians, one batched call on 2n rows each, in
-    `blocks`, and stops with "no_step" when no step is acceptable. A
-    trace not made by a solver (a test's, or one read back from a file by
-    `specio.read_trace`) keeps the defaults.
+    per 64 rows kept), its `wall_s`, and why it stopped, `stop`: "tol"
+    (then it `converged`) or "max_iters". A reference solve counts its
+    line-search points in `oracle_evals` and its Hessians, one batched
+    call on 2n rows each, in `blocks`, and stops with "no_step" when no
+    step is acceptable. A trace not made by a solver (a test's, or one
+    read back from a file by `specio.read_trace`) keeps the defaults.
     """
 
     ter: np.ndarray
@@ -155,11 +157,14 @@ class Trace:
     price: np.ndarray
     scheme: str = ""
     step: float = math.nan
-    converged: bool = False
     oracle_evals: int = 0
     blocks: int = 0
     wall_s: float = 0.0
     stop: str | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "tol"
 
     @property
     def iterations(self) -> int:
@@ -233,46 +238,34 @@ def _first(mask: np.ndarray) -> int:
 
 
 class _Recorder:
-    """The trace's rows, appended a block of iterates at a time, and the
-    divergence checks."""
+    """The trace's rows, appended a block of priced iterates at a time,
+    and the divergence checks of their excess supply and TER."""
 
-    def __init__(self, h: float, price_block=None):
+    def __init__(self, h: float):
         self.h = h
-        # (R, n) iterates -> (TER (R,), z (R, n)), one batched call
-        self.price_block = price_block
         self.cols: list[tuple[np.ndarray, ...]] = []  # per block, in Trace's column order
         self.iterations = 0  # rows kept
-        self.blocks = 0  # calls of price_block
         self.last: np.ndarray | None = None  # the iterate of the last row kept
 
-    def record(self, p: np.ndarray, z: np.ndarray | None = None,
-               value: np.ndarray | None = None, steps: np.ndarray | None = None,
-               tol: float = -1.0) -> bool:
-        """Append the rows of the iterates p, shape (R, n), up to the first
-        whose clearing residual is <= tol, and return whether there was one.
+    def record(self, p: np.ndarray, value: np.ndarray, z: np.ndarray,
+               steps: np.ndarray | None = None, tol: float = -1.0) -> bool:
+        """Append the rows of the finite iterates p, shape (R, n), with TER
+        value (R,) and excess supply z (R, n), up to the first whose
+        clearing residual is <= tol, and return whether there was one.
 
-        z (R, n) and value (R,) are the excess supply and TER of each
-        row, given together or not at all. Without them, the rows before
-        the first non-finite iterate are priced by one call of
-        `price_block`; later rows are never priced. steps holds the step
-        that reached each row (default h). Raises DivergedError at the
-        first kept row whose iterate or z is not finite, or whose TER is
-        not; where both fail on one row, the iterate is reported.
+        steps holds the step that reached each row (default h). Raises
+        DivergedError at the first kept row whose z or TER is not finite;
+        where both fail on one row, z is reported, as a non-finite iterate.
         """
-        rows = len(p)
-        ok = _first(~np.isfinite(p).all(axis=1))  # rows before the first non-finite iterate
-        if value is None:
-            self.blocks += 1
-            value, z = self.price_block(p[:ok])
-        residual, min_excess, complementarity = clearing_residuals(p[:ok], z[:ok])
+        residual, min_excess, complementarity = clearing_residuals(p, z)
+        stop = residual <= tol  # a bad row that meets tol is still reported below
+        kept = _first(stop) + 1 if stop.any() else len(p)
         # a NaN or +-inf in z makes the residual or <p, z> non-finite:
         # z_i = +inf leaves the natural map finite but gives p_i * inf
-        bad = np.append(~np.isfinite(residual + complementarity), ok < rows)
-        stop = residual <= tol  # a bad row that meets tol is still reported below
-        kept = _first(stop) + 1 if stop.any() else rows
-        bad_iterate, bad_ter = _first(bad[:kept]), _first(~np.isfinite(value[:kept]))
-        if bad_iterate < kept and bad_iterate <= bad_ter:
-            raise DivergedError(self.iterations + bad_iterate + 1)
+        bad_z = _first(~np.isfinite(residual[:kept] + complementarity[:kept]))
+        bad_ter = _first(~np.isfinite(value[:kept]))
+        if bad_z < kept and bad_z <= bad_ter:
+            raise DivergedError(self.iterations + bad_z + 1)
         if bad_ter < kept:
             raise DivergedError(self.iterations + bad_ter + 1, "potential value (TER)")
         steps = np.full(kept, self.h) if steps is None else steps[:kept]
@@ -282,11 +275,11 @@ class _Recorder:
         self.last = p[kept - 1].copy()
         return bool(stop.any())
 
-    def finish(self, scheme: str, converged: bool, **run) -> Trace:
+    def finish(self, scheme: str, **run) -> Trace:
         """The trace of the rows kept, ending at the last one's iterate;
         `run` fills the Trace fields that describe the run."""
         cols = (np.concatenate(c) for c in zip(*self.cols))
-        return Trace(*cols, self.last, scheme, self.h, converged, **run)
+        return Trace(*cols, self.last, scheme, self.h, **run)
 
 
 def solve(market: Market, config: SolverConfig | None = None) -> Trace:
@@ -303,34 +296,41 @@ def solve(market: Market, config: SolverConfig | None = None) -> Trace:
     _require_productive(market)
     h = resolve_step(market, config.step)
     p = _initial_prices(market, config.p0)
-    rec = _Recorder(h, market.value_and_grad)
+    rec = _Recorder(h)
     log.info("solve scheme=%s h=%g tol=%g max_iters=%d", config.scheme, h,
              config.tol, config.max_iters)
 
     momentum = itertools.repeat(0.0) if config.scheme == "basic" else _nesterov_momentum()
     # p is checked by _initial_prices and every iterate before the oracle
-    # sees it, so the loop calls the market's unchecked oracle on one price
-    # vector for z alone; the recorder prices each block afterwards
-    oracle = market._flat.kernel
+    # sees it, so the loop calls the market's unchecked kernel on one price
+    # vector for z alone, and its unchecked evaluator on each block
+    flat = market._flat
+    oracle = flat.kernel
     iterates = np.empty((_TER_BLOCK, market.n))
     p_prev = p
-    run = 0  # iterations run, one single-point oracle call each
+    run = blocks = 0  # iterations run (one single-point call each), batched calls
     stopped = False
     while not stopped and run < config.max_iters:
         rows = min(_TER_BLOCK, config.max_iters - run)
+        finite = rows  # iterates of the block before the first non-finite one
         for k, beta in zip(range(rows), momentum):
             # q may sit outside the orthant; z extends there
             q = p if beta == 0.0 else p + beta * (p - p_prev)
             p_prev = p
             p = np.maximum(q - h * oracle(q, False, True)[1], 0.0)
             iterates[k] = p
-            if not math.isfinite(np.maximum.reduce(p)):  # the recorder reports this row
-                rows = k + 1
+            if not math.isfinite(np.maximum.reduce(p)):
+                finite, rows = k, k + 1
                 break
         run += rows
-        stopped = rec.record(iterates[:rows], tol=config.tol)
+        if finite:
+            blocks += 1
+            value, z = flat.evaluate(iterates[:finite], True, True)
+            stopped = rec.record(iterates[:finite], value, z, tol=config.tol)
+        if finite < rows and not stopped:
+            raise DivergedError(rec.iterations + 1)
 
-    trace = rec.finish(config.scheme, stopped, oracle_evals=run, blocks=rec.blocks,
+    trace = rec.finish(config.scheme, oracle_evals=run, blocks=blocks,
                        wall_s=time.perf_counter() - start,
                        stop="tol" if stopped else "max_iters")
     log.info("solve done: iters=%d converged=%s stop=%s residual=%.3e oracle_evals=%d "
@@ -351,7 +351,7 @@ def fd_gradient(f, x: np.ndarray) -> np.ndarray:
 
 def _fd_hessian(market: Market, p: np.ndarray) -> np.ndarray:
     """Symmetrised central-difference Jacobian of z."""
-    jac = fd_gradient(market.ter_gradient, p)
+    jac = fd_gradient(lambda x: market._flat.evaluate(x, False, True)[1], p)
     return 0.5 * (jac + jac.T)
 
 
@@ -362,14 +362,15 @@ def reference_solve(market: Market, p0: np.ndarray | None = None) -> Trace:
     trace is Newton iterate t and `steps` holds its accepted step
     length; when no step is taken (the start meets REFERENCE_TOL, or no
     step is acceptable) the start is recorded as one row with step 0.
-    `converged` is true only at a residual <= REFERENCE_TOL. The trace
+    It stops with "tol" only at a residual <= REFERENCE_TOL. The trace
     counts line-search points in `oracle_evals` and Hessians in `blocks`.
     """
     start = time.perf_counter()
     _require_productive(market)
     p = _initial_prices(market, p0)
     rec = _Recorder(1.0)
-    value, z = market.value_and_grad(p)
+    evaluate = market._flat.evaluate  # unchecked: p is checked once, above
+    value, z = evaluate(p, True, True)
     r = clearing_residuals(p, z)[0]
     evals, hessians = 1, 0
     stop = "max_iters"
@@ -387,7 +388,7 @@ def reference_solve(market: Market, p0: np.ndarray | None = None) -> Trace:
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = np.maximum(p + alpha * d, 0.0)
-            t_value, t_z = market.value_and_grad(trial)
+            t_value, t_z = evaluate(trial, True, True)
             evals += 1
             t_r = clearing_residuals(trial, t_z)[0]
             armijo = _ARMIJO_SIGMA * (
@@ -399,13 +400,12 @@ def reference_solve(market: Market, p0: np.ndarray | None = None) -> Trace:
             stop = "no_step"  # no acceptable step along the arc
             break
         p, value, z, r = trial, t_value, t_z, t_r
-        rec.record(p[None], z[None], np.array([value]), np.array([alpha]))
+        rec.record(p[None], np.array([value]), z[None], np.array([alpha]))
     if not rec.iterations:  # the start met the tolerance, or its first search failed
-        rec.record(p[None], z[None], np.array([value]), np.zeros(1))
-    converged = bool(r <= REFERENCE_TOL)
-    trace = rec.finish("reference", converged, oracle_evals=evals, blocks=hessians,
+        rec.record(p[None], np.array([value]), z[None], np.zeros(1))
+    trace = rec.finish("reference", oracle_evals=evals, blocks=hessians,
                        wall_s=time.perf_counter() - start,
-                       stop="tol" if converged else stop)
+                       stop="tol" if r <= REFERENCE_TOL else stop)
     log.info("reference done: newton_iters=%d oracle_evals=%d hessian_rows=%d "
              "residual=%.3e converged=%s stop=%s", trace.iterations, trace.oracle_evals,
              2 * market.n * trace.blocks, trace.grad_norm[-1], trace.converged, trace.stop)

@@ -229,12 +229,9 @@ def generate_market(n: int, n_consumers: int, n_suppliers: int, seed: int) -> di
     total population, which guarantees the productivity check passes.
     Scale parameters fall in [0.2, 1], observable utilities in [-2, 2].
     """
-    try:
-        n, n_consumers, n_suppliers, seed = (integer(*arg) for arg in (
-            (n, "n", 1), (n_consumers, "n_consumers", 1), (n_suppliers, "n_suppliers", 1),
-            (seed, "seed")))
-    except StructureError as exc:
-        raise SpecError(CODE_MALFORMED, "$", str(exc)) from exc
+    n, n_consumers, n_suppliers, seed = (integer(*arg) for arg in (
+        (n, "n", 1), (n_consumers, "n_consumers", 1), (n_suppliers, "n_suppliers", 1),
+        (seed, "seed")))
     rng = np.random.default_rng(seed)
     consumers = []
     for _ in range(n_consumers):

@@ -168,7 +168,7 @@ INTEGER_FIELDS = {
                              mc.DomainError, "size: "),
     **{f"generate_market.{field}": (
         lambda x, i=i: specio.generate_market(*(x if j == i else 2 for j in range(4))),
-        specio.SpecError, f"$: {field}: ") for i, field in enumerate(
+        mc.StructureError, f"{field}: ") for i, field in enumerate(
             ("n", "n_consumers", "n_suppliers", "seed"))},
     "batch_market.slot": (specio.batch_market, mc.StructureError, "slot: "),
     "spec.n": (lambda x: _spec(n=x), specio.SpecError, "$.n: "),

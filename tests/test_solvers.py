@@ -17,6 +17,7 @@ from marketclear.solvers import (
     REFERENCE_MAX_ITERS,
     REFERENCE_TOL,
     ConfigError,
+    DivergedError,
     RateFitError,
     SolverConfig,
     Trace,
@@ -201,26 +202,37 @@ class TestSolve:
         assert ((accel.iterations, accel.converged, accel.oracle_evals, accel.blocks)
                 == (basic.iterations, basic.converged, basic.oracle_evals, basic.blocks))
 
-    def test_divergence_guard_names_iteration(self, single_good_market):
-        from marketclear.solvers import DivergedError, _Recorder
+    def test_divergence_guard_names_iteration(self):
+        # z = -inf or NaN in one step makes that iterate +inf or NaN; the bad
+        # row opens the first block, sits second in it, or inside a later one
+        m = specio.load_market(SPEC_DIR / "market_n6.json")
+        for bad, scheme, iterate in itertools.product(
+                (-np.inf, np.nan), ("basic", "accelerated"), (1, 2, 100)):
+            out, priced = _solve_failing(m, SolverConfig(scheme=scheme, tol=0.0),
+                                         iterate=iterate, bad=bad)
+            assert isinstance(out, DivergedError)
+            assert (str(out), out.iteration) == (
+                f"non-finite iterate at iteration {iterate}", iterate)
+            # the rows from the non-finite iterate on are never priced
+            assert sum(priced) == iterate - 1
 
+    def test_non_finite_z_names_its_row(self):
         # z_i = +inf leaves the natural-map residual finite; <p, z> catches it
         # the bad row closes a one-row block, or sits second in a two-row one
-        for bad_p, bad_z in [(np.inf, 0.0), (np.nan, 0.0), (1.0, np.inf), (0.0, np.inf),
-                             (1.0, -np.inf), (1.0, np.nan)]:
-            p = np.array([[1.0]])
-            rec = _Recorder(0.1, _pricing((single_good_market.ter(p), np.array([[0.5]])),
-                                          (np.zeros(1), np.array([[bad_z, 0.5]]))))
-            rec.record(p)
-            with (pytest.raises(DivergedError, match="non-finite iterate at iteration 2") as err,
+        for p_i, z_i in [(1.0, np.inf), (0.0, np.inf), (1.0, -np.inf), (1.0, np.nan)]:
+            rec = solvers._Recorder(0.1)
+            assert not rec.record(np.ones((1, 2)), np.zeros(1), np.full((1, 2), 0.5))
+            with (pytest.raises(DivergedError, match="non-finite iterate at iteration 2$") as err,
                   np.errstate(invalid="ignore")):
-                rec.record(np.array([[bad_p, 1.0]]))
+                rec.record(np.array([[p_i, 1.0]]), np.zeros(1), np.array([[z_i, 0.5]]))
             assert err.value.iteration == 2
-            rec = _Recorder(0.1, _pricing((np.zeros(2), np.array([[0.5, 0.5], [bad_z, 0.5]]))))
-            with (pytest.raises(DivergedError, match="non-finite iterate at iteration 2") as err,
+            rec = solvers._Recorder(0.1)
+            with (pytest.raises(DivergedError, match="non-finite iterate at iteration 2$") as err,
                   np.errstate(invalid="ignore")):
-                rec.record(np.array([[1.0, 1.0], [bad_p, 1.0]]))
+                rec.record(np.array([[1.0, 1.0], [p_i, 1.0]]), np.zeros(2),
+                           np.array([[0.5, 0.5], [z_i, 0.5]]))
             assert err.value.iteration == 2
+            assert rec.iterations == 0
 
     def test_divergence_guard_rejects_non_finite_ter(self, monkeypatch):
         # a kernel whose TER overflows to -inf while prices and excess
@@ -351,20 +363,16 @@ class TestSolve:
                 solve(m, SolverConfig(scheme=scheme, tol=0.0, max_iters=300))
             assert err.value.iteration == 100
 
-    def test_earlier_ter_failure_wins_over_a_later_iterate(self, single_good_market):
-        from marketclear.solvers import DivergedError
-
-        def ter(block):  # row 3 of the block overflows
-            values = single_good_market.ter(block)
-            values[2] = np.inf
-            return values, np.full((len(block), 1), 0.5)
-
-        rec = solvers._Recorder(0.1, ter)
-        p = np.array([[1.0]] * 4 + [[np.nan]])
-        with pytest.raises(DivergedError, match=r"\(TER\) at iteration 3$") as err:
-            rec.record(p)
-        assert err.value.iteration == 3
-
+    def test_earlier_ter_failure_wins_over_a_later_iterate(self):
+        # the TER fails in an earlier block, on its last row or inside it
+        m = specio.load_market(SPEC_DIR / "market_n6.json")
+        for scheme, (ter, iterate) in itertools.product(
+                ("basic", "accelerated"), ((64, 65), (70, 100))):
+            out, _ = _solve_failing(m, SolverConfig(scheme=scheme, tol=0.0),
+                                    iterate=iterate, ter=ter)
+            assert isinstance(out, DivergedError)
+            assert str(out) == f"non-finite potential value (TER) at iteration {ter}"
+            assert out.iteration == ter
 
     @pytest.mark.parametrize("ter_row, iterate_row, stop_row, expected", [
         (3, 5, None, (3, "TER")), (5, 3, None, (3, "iterate")), (3, 3, None, (3, "iterate")),
@@ -374,46 +382,106 @@ class TestSolve:
                                                         expected):
         # rows 1..6 of one block: a TER that overflows, a non-finite iterate
         # and a row that meets the tolerance, each at a given row or nowhere
-        from marketclear.solvers import DivergedError
+        m = specio.load_market(SPEC_DIR / "market_n6.json")
+        tol = 0.0
+        if stop_row:
+            free = solve(m, SolverConfig(tol=0.0, max_iters=stop_row))
+            tol = free.grad_norm[-1]
+            assert free.grad_norm[:-1].min() > tol  # stop_row is the first to meet tol
+        out, priced = _solve_failing(m, SolverConfig(tol=tol, max_iters=6),
+                                     iterate=iterate_row, ter=ter_row)
+        if expected is None:
+            assert out.converged and out.iterations == stop_row
+            assert out.grad_norm[-1] == tol
+        else:
+            assert isinstance(out, DivergedError)
+            assert re.search(f"{expected[1]}.* at iteration {expected[0]}$", str(out))
+            assert out.iteration == expected[0]
+        # the rows from a non-finite iterate on are never priced
+        assert priced == [iterate_row - 1 if iterate_row else 6]
 
-        p, z = np.ones((6, 1)), np.full((6, 1), 0.5)  # residual 0.5 on every row
+    @pytest.mark.parametrize("ter_row, z_row, stop_row, expected", [
+        (3, 5, None, (3, "TER")), (5, 3, None, (3, "iterate")), (3, 3, None, (3, "iterate")),
+        (3, 5, 2, None), (None, 5, 5, (5, "iterate")), (None, None, 2, None),
+    ])
+    def test_first_z_or_ter_failure_among_kept_rows_is_reported(self, ter_row, z_row,
+                                                                 stop_row, expected):
+        # the recorder's checks of six priced rows: a TER that overflows, a
+        # non-finite z (reported as its iterate) and a row that meets the
+        # tolerance, each at a given row or nowhere
+        p, z, value = np.ones((6, 1)), np.full((6, 1), 0.5), np.zeros(6)  # residual 0.5
         if stop_row:
             z[stop_row - 1] = 0.0
-        if iterate_row:
-            p[iterate_row - 1] = np.nan
-        priced = []
-
-        def ter(block):
-            priced.append(len(block))
-            values = np.zeros(len(block))
-            if ter_row and ter_row <= len(block):
-                values[ter_row - 1] = -np.inf
-            return values, z[:len(block)]
-
-        rec = solvers._Recorder(0.1, ter)
+        if z_row:
+            z[z_row - 1] = np.nan
+        if ter_row:
+            value[ter_row - 1] = -np.inf
+        rec = solvers._Recorder(0.1)
         if expected is None:
-            assert rec.record(p, tol=0.1)
-            trace = rec.finish("basic", True)
+            assert rec.record(p, value, z, tol=0.1)
+            trace = rec.finish("basic", stop="tol")
             assert trace.iterations == stop_row
             np.testing.assert_array_equal(trace.grad_norm, [0.5] * (stop_row - 1) + [0.0])
         else:
             with pytest.raises(DivergedError, match=f"{expected[1]}.* at iteration "
                                f"{expected[0]}$") as err:
-                rec.record(p, tol=0.1)
+                rec.record(p, value, z, tol=0.1)
             assert err.value.iteration == expected[0]
-        # the rows from a non-finite iterate on are never priced
-        assert priced == [iterate_row - 1 if iterate_row else 6]
 
     def test_a_diverged_row_never_stops(self):
         # z_i = +inf at p_i = 0 leaves the natural map at 0, so the residual
         # meets any tol; <p, z> = 0 * inf marks the row as diverged
-        from marketclear.solvers import DivergedError
-
         p, z = np.ones((3, 1)), np.full((3, 1), 0.5)
         p[1], z[1] = 0.0, np.inf
-        rec = solvers._Recorder(0.1, _pricing((np.zeros(3), z)))
-        with pytest.raises(DivergedError, match="non-finite iterate at iteration 2$"):
-            rec.record(p, tol=0.1)
+        rec = solvers._Recorder(0.1)
+        with (pytest.raises(DivergedError, match="non-finite iterate at iteration 2$"),
+              np.errstate(invalid="ignore")):
+            rec.record(p, np.zeros(3), z, tol=0.1)
+
+    def test_non_finite_iterate_opening_a_block_prices_no_empty_block(self):
+        m = specio.load_market(SPEC_DIR / "market_n6.json")
+        for scheme in ("basic", "accelerated"):
+            out, priced = _solve_failing(m, SolverConfig(scheme=scheme, tol=0.0), iterate=65)
+            assert isinstance(out, DivergedError)
+            assert (str(out), out.iteration) == ("non-finite iterate at iteration 65", 65)
+            assert priced == [64]
+
+    def test_non_finite_iterate_after_the_stop_row_is_not_reported(self):
+        m = specio.load_market(SPEC_DIR / "market_n6.json")
+        for scheme, row in (("basic", 66), ("accelerated", 3)):
+            free = solve(m, SolverConfig(scheme=scheme, tol=0.0, max_iters=row))
+            tol = free.grad_norm[-1]
+            assert free.grad_norm[:-1].min() > tol  # row is the first to meet tol
+            clean = solve(m, SolverConfig(scheme=scheme, tol=tol))
+            out, priced = _solve_failing(m, SolverConfig(scheme=scheme, tol=tol),
+                                         iterate=row + 2)
+            assert out.converged and out.iterations == row and out.stop == "tol"
+            for field in ("ter", "grad_norm", "min_excess", "complementarity", "steps", "price"):
+                np.testing.assert_array_equal(getattr(out, field), getattr(clean, field),
+                                              err_msg=field)
+            # the run ends at the non-finite iterate, and prices the rows before it
+            assert (out.oracle_evals, out.blocks) == (row + 2, len(priced))
+            assert sum(priced) == row + 1
+
+    def test_no_checked_call_inside_the_solvers(self, monkeypatch):
+        # the solvers check their start prices once and then price through
+        # the market's unchecked kernel and evaluator
+        from marketclear.rules import check_array
+
+        m = specio.load_market(SPEC_DIR / "market_n6.json")
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return check_array(*args, **kwargs)
+
+        monkeypatch.setattr("marketclear.market.check_array", counting)
+        for scheme in ("basic", "accelerated"):
+            assert solve(m, SolverConfig(scheme=scheme)).converged
+        assert reference_solve(m).converged
+        assert calls == []
+        m.value_and_grad(np.zeros(m.n))  # the public methods do check
+        assert calls == [1]
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 8), j=st.integers(1, 3), k=st.integers(1, 3),
@@ -438,16 +506,38 @@ class TestSolve:
         assert (trace.oracle_evals, trace.blocks) == (row, row // 64)
 
 
-def _pricing(*blocks):
-    """A recorder's price_block that answers its k-th call with the k-th
-    (TER, z) pair, cut to the rows it is asked for."""
-    answers = iter(blocks)
+def _solve_failing(market: mc.Market, config: SolverConfig, iterate=None, ter=None,
+                   bad=-np.inf):
+    """solve(market, config) under a kernel whose single-point call of
+    iteration `iterate` returns z = bad, which makes that iterate
+    non-finite, and an evaluator that gives the block row `ter` (counted
+    over all blocks) TER -inf. Returns the trace, or the DivergedError
+    raised, and the rows of each block priced."""
+    from marketclear.market import _FlatMarket
 
-    def price_block(p):
-        value, z = next(answers)
-        return value[:len(p)], z[:len(p)]
+    kernel, evaluate, calls, priced = _FlatMarket.kernel, _FlatMarket.evaluate, [], []
 
-    return price_block
+    def point(self, x, value, grad):
+        t, z = kernel(self, x, value, grad)
+        if x.ndim == 1:
+            calls.append(1)
+            if len(calls) == iterate:
+                z = np.full_like(z, bad)
+        return t, z
+
+    def block(self, p, value, grad):
+        t, z = evaluate(self, p, value, grad)
+        rows = sum(priced) + np.arange(1, len(p) + 1)
+        priced.append(len(p))
+        return np.where(rows == ter, -np.inf, t), z
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_FlatMarket, "kernel", point)
+        mp.setattr(_FlatMarket, "evaluate", block)
+        try:
+            return solve(market, config), priced
+        except DivergedError as exc:
+            return exc, priced
 
 
 def _plain_loop(market: mc.Market, config: SolverConfig):
@@ -523,7 +613,7 @@ class TestRateFit:
             scheme="basic", step=0.1, ter=np.asarray(gaps, dtype=float),
             grad_norm=np.zeros(n), min_excess=np.zeros(n),
             complementarity=np.zeros(n), steps=np.full(n, 0.1),
-            price=np.zeros(1), converged=True,
+            price=np.zeros(1), stop="tol",
         )
 
     def test_exact_power_law(self):
@@ -591,22 +681,22 @@ class TestReferenceSolve:
         assert "oracle_evals=" in done[0] and "residual=" in done[0]
 
     def test_trace_counts_the_run(self, six_good_market, caplog, monkeypatch):
+        # the market's evaluator prices each line-search point as one price
+        # vector and each Hessian as one block of 2n rows
+        from marketclear.market import _FlatMarket
+
         points, hessians = [], []
-        value_and_grad, fd_hessian = mc.Market.value_and_grad, solvers._fd_hessian
+        evaluate = _FlatMarket.evaluate
 
-        def counting_point(self, p):
-            points.append(1)
-            return value_and_grad(self, p)
+        def counting(self, p, value, grad):
+            (points if p.ndim == 1 else hessians).append(len(p))
+            return evaluate(self, p, value, grad)
 
-        def counting_hessian(market, p):
-            hessians.append(1)
-            return fd_hessian(market, p)
-
-        monkeypatch.setattr(mc.Market, "value_and_grad", counting_point)
-        monkeypatch.setattr(solvers, "_fd_hessian", counting_hessian)
+        monkeypatch.setattr(_FlatMarket, "evaluate", counting)
         with caplog.at_level(logging.INFO, logger="marketclear.solvers"):
             ref = reference_solve(six_good_market)
         assert (ref.oracle_evals, ref.blocks, ref.stop) == (len(points), len(hessians), "tol")
+        assert set(hessians) == {2 * six_good_market.n}
         assert 0.0 < ref.wall_s < 60.0
         done = [r.getMessage() for r in caplog.records if "reference done" in r.getMessage()]
         assert f" oracle_evals={len(points)} " in done[0]

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from marketclear import (
     RateFitError,
     SolverConfig,
+    StructureError,
     Trace,
     UnproductiveMarketError,
     cli,
@@ -238,9 +239,15 @@ class TestRoundTrip:
         (3.0, 1, 1, 0), (3, 1, 1, "7"), (3, True, 1, 0), (3, 1, 1, None),
     ])
     def test_generate_rejects_bad_parameters(self, args):
-        with pytest.raises(specio.SpecError, match="must be an integer >= [01]") as err:
+        # the arguments are no document: the error names the argument, not a path
+        with pytest.raises(StructureError, match="must be an integer >= [01]") as err:
             specio.generate_market(*args)
-        assert (err.value.code, err.value.path) == (specio.CODE_MALFORMED, "$")
+        assert not isinstance(err.value, specio.SpecError)
+        bad = next(i for i, (a, good) in enumerate(zip(args, (3, 1, 1, 0)))
+                   if type(a) is not int or a != good)
+        field = ("n", "n_consumers", "n_suppliers", "seed")[bad]
+        assert (err.value.code, err.value.field) == (specio.CODE_MALFORMED, field)
+        assert str(err.value).startswith(f"{field}: ")
 
     def test_one_based_indices_on_disk(self):
         doc = specio.generate_market(3, 1, 1, seed=0)
@@ -293,7 +300,7 @@ class TestTraceFiles:
             complementarity=rng.uniform(-1, 1, rows),
             steps=np.full(rows, 0.125),
             price=rng.uniform(0, 3, 3),
-            converged=True,
+            stop="tol",
         )
 
     def test_round_trip_lossless(self, tmp_path, n6_runs):
