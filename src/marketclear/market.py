@@ -34,13 +34,22 @@ reads column views of the same constants (`_FlatMarket.col`), reduces
 each segment, a contiguous run of rows, with one numpy call vectorised
 over all points (`_block_reduce`) and sums demand per good through a
 precomputed inverse gather. `_FlatMarket.evaluate` takes a block of
-prices in chunks of `_CHUNK_ROWS` rows, which bounds the flat and
-stacked temporaries alive at once. Both ranks sum every nest and every
-type in element order, and a maximum is exact in any order, so every
-row of a block gets the z of the point call bit for bit, and one price
-vector gives bit-identical TER and z at both ranks. `Market.ter` and
-`Market.ter_gradient` call the same kernel and compute only their own
-half.
+prices in chunks of `_CHUNK_ROWS` rows, copied transposed into one
+price buffer per call, which bounds the flat and stacked temporaries
+alive at once. Per chunk the kernel allocates the supplier responses y
+and, for TER, the profit and one scratch array, each (K, n, rows), and
+on the consumer side the gathered (J * n, rows) exponentials, their nest
+maxima per element and, for z, the demand factor per element and the
+demand gather; every other temporary has one row per nest, type or
+good. y, the exponentials and the profit are updated in place, and z is
+written into the demand, each operation with the operands and in the
+order of the textbook formula (swapping the operands of a + or a *
+keeps its bits), so no bit depends on which arrays are reused. Both
+ranks sum every nest and every type in element order, and a maximum is
+exact in any order, so every row of a block gets the z of the point
+call bit for bit, and one price vector gives bit-identical TER and z at
+both ranks. `Market.ter` and `Market.ter_gradient` call the same kernel
+and compute only their own half.
 
 The public methods check their prices (`check_array`) and call
 `_FlatMarket.evaluate`; the solvers check their start prices once and
@@ -63,14 +72,17 @@ from .nested_logit import NestStructure
 from .rules import CODE_MALFORMED, check_array, integer, real, require, require_finite
 from .supply import Supplier
 
-# Rows of a price block evaluated per kernel pass. The pass keeps
-# several (J*n, rows) and (K, n, rows) temporaries alive together, which
-# favours few rows, and reduces each nest and each consumer type with one
-# numpy call per chunk, which favours many. On block `ter` + `ter_gradient`
-# over the 20 acceptance-batch markets (4096-row blocks, one core of a
-# 2-CPU machine, numpy 2.4.6, median of 15 passes), 1024 rows took 116 ms,
-# 512 rows 131 ms, 2048 rows 136 ms and 256 rows 162 ms; peak memory of
-# three such passes was 2 MB higher at 1024 rows than at 256.
+# Rows of a price block evaluated per kernel pass. The pass allocates up
+# to three (K, n, rows) and four (J*n, rows) arrays (see the module
+# docstring), which favours few rows, and reduces each nest and each
+# consumer type with one numpy call per chunk, which favours many. On
+# block `ter` + `ter_gradient` over the 20 acceptance-batch markets
+# (4096-row blocks, one core of a 2-CPU machine, numpy 2.4.6, the sizes
+# interleaved in one process, median of 15 rounds, three processes),
+# 1024 rows took 102-115 ms, 2048 rows 99-110 ms, 512 rows 110-115 ms,
+# 4096 rows 128-130 ms and 256 rows 125-140 ms. Peak memory after three
+# such passes was 65.7 MB at 1024 rows, 70.0 MB at 2048 and 74.9 MB at
+# 4096, so the larger chunks cost memory for no clear gain.
 _CHUNK_ROWS = 1024
 
 
@@ -288,10 +300,15 @@ class _FlatMarket:
         rows = p.reshape(-1, self.n)
         ter = np.empty(len(rows)) if value else None
         z = np.empty(rows.shape) if grad else None
+        # every chunk's prices are copied, transposed, into one contiguous
+        # buffer: broadcasting over a transposed view is slower
+        buf = np.empty(min(len(rows), _CHUNK_ROWS) * self.n)
         for r0 in range(0, len(rows), _CHUNK_ROWS):
             r1 = r0 + _CHUNK_ROWS
-            # a contiguous copy: broadcasting over a transposed view is slower
-            t, g = self.kernel(np.ascontiguousarray(rows[r0:r1].T), value, grad)
+            chunk = rows[r0:r1].T
+            x = buf[:chunk.size].reshape(chunk.shape)
+            np.copyto(x, chunk)
+            t, g = self.kernel(x, value, grad)
             if value:
                 ter[r0:r1] = t
             if grad:
@@ -308,7 +325,8 @@ class _FlatMarket:
         """
         point = x.ndim == 1
         c = self if point else self.col
-        y = (x + c.offset) * c.inv_slope  # supplier stationary points
+        y = np.add(x, c.offset)
+        y *= c.inv_slope  # supplier stationary points
         np.maximum(y, c.lo, out=y)
         np.minimum(y, c.hi, out=y)
 
@@ -330,7 +348,16 @@ class _FlatMarket:
 
         ter = z = None
         if value:
-            profit = y * ((x - c.c) - c.half_d * y) - c.gamma * np.square(y - c.y_nat)
+            # y * ((x - c) - half_d * y) - gamma * (y - y_nat)^2 in two
+            # temporaries, each operation as in that expression
+            profit = np.subtract(x, c.c)
+            u = np.multiply(c.half_d, y)
+            profit -= u
+            profit *= y
+            np.subtract(y, c.y_nat, out=u)
+            np.square(u, out=u)
+            u *= c.gamma
+            profit -= u
             ter = profit.sum(axis=(0, 1)) + self.count @ (top_iv + np.log(total))
         if grad:
             # count_j * P(nest) / (within-nest sum) turns w = exp(v/mu - top)
@@ -341,7 +368,7 @@ class _FlatMarket:
             else:
                 demand = w.take(self.inverse, axis=0).reshape(
                     self.n_types, -1, x.shape[1]).sum(axis=0)
-            z = np.add.reduce(y, 0) - demand
+            z = np.subtract(np.add.reduce(y, 0), demand, out=demand)
         return ter, z
 
 

@@ -17,6 +17,11 @@ All functions accept batched utilities of shape (..., n) and return
 shapes (...) or (..., n). `surplus` and `choice_probabilities` work
 goods-major: on the transposed view v.T, each nest is one row gather of
 shape (L, ...), reduced along axis 0 at once for every evaluation point.
+Each gather is a fresh array, scaled by 1/mu in place and, in
+`choice_probabilities`, turned into the nest's probabilities in place;
+`_logsumexp` allocates one array for x - m and its exponential. Each
+operation keeps the operands and order of the formulas, so no bit
+depends on which arrays are reused.
 Arguments are checked by the package's input rules (`rules`); this
 module keeps only the consumer's own bounds, MU_MIN and SIMPLEX_ATOL.
 """
@@ -121,7 +126,9 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
     # block; inputs are always finite here, so the max subtraction never
     # produces nan
     m = np.maximum.reduce(x, 0)
-    return m + np.log(np.add.reduce(np.exp(x - m), 0))
+    e = x - m
+    np.exp(e, out=e)
+    return m + np.log(np.add.reduce(e, 0))
 
 
 def _nests(ns: NestStructure, v: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -129,9 +136,10 @@ def _nests(ns: NestStructure, v: np.ndarray) -> tuple[list[np.ndarray], np.ndarr
     shape (L, ...), and the inclusive values mu_l * ln sum exp(w_l), stacked
     as (n_nests, ...)."""
     vt = v.T
-    w = [vt[idx] / mu for idx, mu in zip(ns._idx, ns.mu)]
+    w = [vt[idx] for idx in ns._idx]  # each gather is a fresh array
     iv = np.empty((ns.n_nests,) + vt.shape[1:])
     for l, (wl, mu) in enumerate(zip(w, ns.mu)):
+        wl /= mu
         iv[l] = mu * _logsumexp(wl)
     return w, iv
 
@@ -169,9 +177,9 @@ def choice_probabilities(ns: NestStructure, v) -> np.ndarray:
     log_denom = _logsumexp(iv)
     q = np.empty((ns.n,) + iv.shape[1:])
     for l, (idx, mu, wl) in enumerate(zip(ns._idx, ns.mu, w)):
-        log_nest = iv[l] - log_denom
-        log_within = wl - iv[l] / mu
-        q[idx] = np.exp(log_nest + log_within)
+        wl -= iv[l] / mu  # log within-nest probability
+        wl += iv[l] - log_denom  # plus log nest probability
+        q[idx] = np.exp(wl, out=wl)
     return q.T
 
 

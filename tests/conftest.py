@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -32,6 +33,42 @@ def random_instance(seed, max_n=12, v_bound=5.0):
     ns = specio.random_nest_structure(n, rng)
     v = rng.uniform(-v_bound, v_bound, n)
     return ns, v
+
+
+def input_layouts(x) -> dict[str, np.ndarray]:
+    """The values of x, or a constant, in the layouts a caller may pass:
+    C order, Fortran order, a strided view, a read-only copy and a
+    read-only broadcast of one value (all strides zero)."""
+    x = np.asarray(x, dtype=float)
+    read_only = x.copy()
+    read_only.setflags(write=False)
+    return {
+        "C": np.ascontiguousarray(x),
+        "F": np.asfortranarray(x),
+        "strided": np.repeat(x, 2, axis=-1)[..., ::2],
+        "read-only": read_only,
+        "broadcast": np.broadcast_to(x.flat[0], x.shape),
+    }
+
+
+def _output_arrays(out) -> list[np.ndarray]:
+    if dataclasses.is_dataclass(out):
+        out = dataclasses.astuple(out)
+    return [np.asarray(a, dtype=float) for a in (out if isinstance(out, tuple) else (out,))]
+
+
+def assert_input_kept(fn, x):
+    """On every layout of x, fn raises nothing and leaves its input
+    bit-identical, and a second call gives the same bits in arrays of its
+    own (no buffer outlives a call)."""
+    for name, arg in input_layouts(x).items():
+        before = arg.copy()
+        first = _output_arrays(fn(arg))
+        first_bytes = [a.tobytes() for a in first]
+        second = _output_arrays(fn(arg))
+        assert arg.tobytes() == before.tobytes(), name
+        assert [a.tobytes() for a in second] == first_bytes, name
+        assert not any(np.shares_memory(a, b) for a in first for b in second), name
 
 
 @pytest.fixture(scope="session")

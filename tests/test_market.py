@@ -8,11 +8,11 @@ from hypothesis import given, settings
 
 import marketclear as mc
 from marketclear import specio
-from marketclear.market import _CHUNK_ROWS, clearing_residuals
+from marketclear.market import _CHUNK_ROWS, _block_reduce, _block_sum, clearing_residuals
 from marketclear.solvers import SolverConfig, reference_solve, solve
 from marketclear.verify import fd_gradient
 
-from conftest import SPEC_DIR
+from conftest import SPEC_DIR, assert_input_kept
 
 
 def mp_market_value(market, p, dps=50):
@@ -403,6 +403,81 @@ def test_block_z_equals_vector_z(n, n_types, n_suppliers, seed, rows):
     p = np.random.default_rng(seed).uniform(-1.0, 5.0, (rows, n))
     np.testing.assert_array_equal(m.value_and_grad(p)[1],
                                   [m._flat.kernel(x, False, True)[1] for x in p])
+
+
+def _expression_kernel(flat, x, value, grad):
+    # the kernel with one expression per quantity, every intermediate a
+    # fresh array; the in-place kernel runs the same operations in the
+    # same order, so it must give these bits
+    point = x.ndim == 1
+    c = flat if point else flat.col
+    y = np.minimum(np.maximum((x + c.offset) * c.inv_slope, c.lo), c.hi)
+    w = (c.a - x[flat.goods]) * c.inv_mu
+    top = (np.maximum.reduceat(w, flat.seg_start) if point
+           else _block_reduce(np.maximum, w, flat.seg_slices))
+    w = np.exp(w - top[flat.seg_of])
+    within = (np.bincount(flat.seg_of, w) if point
+              else _block_sum(w, flat.seg_of, flat.seg_slices))
+    iv = c.seg_mu * (top + np.log(within))
+    top_iv = (np.maximum.reduceat(iv, flat.type_start) if point
+              else _block_reduce(np.maximum, iv, flat.type_slices))
+    nest = np.exp(iv - top_iv[flat.type_of])
+    total = (np.bincount(flat.type_of, nest) if point
+             else _block_sum(nest, flat.type_of, flat.type_slices))
+    ter = z = None
+    if value:
+        profit = y * ((x - c.c) - c.half_d * y) - c.gamma * np.square(y - c.y_nat)
+        ter = profit.sum(axis=(0, 1)) + flat.count @ (top_iv + np.log(total))
+    if grad:
+        w = w * (nest * (c.seg_count / (total[flat.type_of] * within)))[flat.seg_of]
+        if point:
+            demand = np.bincount(flat.goods, w, flat.n)
+        else:
+            demand = w.take(flat.inverse, axis=0).reshape(
+                flat.n_types, -1, x.shape[1]).sum(axis=0)
+        z = np.add.reduce(y, 0) - demand
+    return ter, z
+
+
+def _expression_evaluate(flat, p, value, grad):
+    """TER and z of a price vector, or of each row of a block, taken in
+    chunks of _CHUNK_ROWS rows by `_expression_kernel`."""
+    if p.ndim == 1:
+        return _expression_kernel(flat, p, value, grad)
+    chunks = [_expression_kernel(flat, np.ascontiguousarray(p[r0:r0 + _CHUNK_ROWS].T),
+                                 value, grad) for r0 in range(0, len(p), _CHUNK_ROWS)]
+    return (np.concatenate([t for t, _ in chunks]) if value else None,
+            np.concatenate([g for _, g in chunks], axis=1).T if grad else None)
+
+
+@given(st.integers(1, 20), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**31),
+       st.sampled_from([2, 64, _CHUNK_ROWS + 1]),
+       st.sampled_from([(True, True), (True, False), (False, True)]))
+@settings(max_examples=40, deadline=None)
+def test_in_place_kernel_keeps_the_expression_bits(n, n_types, n_suppliers, seed, rows, flags):
+    flat = specio.market_from_document(specio.generate_market(n, n_types, n_suppliers, seed))._flat
+    block = np.random.default_rng(seed).uniform(-1.0, 5.0, (rows, n))
+    for p in (block, block[0]):
+        for got, want in zip(flat.evaluate(p, *flags), _expression_evaluate(flat, p, *flags)):
+            assert (got is None) == (want is None)
+            assert got is None or np.array_equal(got, want)
+
+
+MARKET_CALLS = {
+    "ter": mc.Market.ter,
+    "ter_gradient": mc.Market.ter_gradient,
+    "value_and_grad": mc.Market.value_and_grad,
+    "equilibrium_residual": mc.Market.equilibrium_residual,
+}
+
+
+@pytest.mark.parametrize("call", sorted(MARKET_CALLS))
+def test_oracle_never_writes_its_input(six_good_market, call):
+    fn = MARKET_CALLS[call]
+    rng = np.random.default_rng(4)
+    shapes = [(6,)] if call == "equilibrium_residual" else [(6,), (_CHUNK_ROWS + 3, 6), (2, 3, 6)]
+    for shape in shapes:
+        assert_input_kept(lambda p: fn(six_good_market, p), rng.uniform(0.0, 5.0, shape))
 
 
 @pytest.mark.parametrize("scheme", ["basic", "accelerated"])

@@ -18,7 +18,7 @@ from marketclear import (
 from marketclear import specio
 from marketclear.verify import fd_gradient
 
-from conftest import random_instance
+from conftest import assert_input_kept, random_instance
 
 # 50-digit direct evaluations of the defining formulas, frozen.
 SURPLUS_TWO_NEST = 1.5918821974050197946903764  # nests {1,2},{3,4}, mu=(.5,1), v=(1,0,.5,-1)
@@ -241,6 +241,15 @@ class TestGoodsMajorLayout:
         nests = specio.random_nest_structure(n, rng).nests
         ns = NestStructure(n, nests, tuple(10.0 ** e for e in log_mu[:len(nests)]))
         assert_same_bits_as_last_axis(ns, rng.uniform(-5, 5, shape + (n,)))
+
+
+@pytest.mark.parametrize("fn", [surplus, choice_probabilities, fenchel_gap],
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("ns", LAYOUT_STRUCTURES[1:], ids=lambda ns: f"n{ns.n}")
+def test_never_writes_its_input(fn, ns):
+    rng = np.random.default_rng(ns.n)
+    for shape in [(ns.n,), (37, ns.n), (2, 3, ns.n)]:
+        assert_input_kept(lambda v: fn(ns, v), rng.uniform(-5.0, 5.0, shape))
 
 
 class TestShapeAndRowContract:
