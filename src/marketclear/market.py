@@ -114,7 +114,8 @@ class EquilibriumResidual:
 
     min_excess: most negative component of excess supply.
     complementarity: <p, z(p)>, zero at an equilibrium.
-    grad_norm: natural-map residual ||p - [p - z(p)]_+||_2.
+    grad_norm: natural-map residual ||p - [p - z(p)]_+||_2, computed as
+        its closed form ||min(p, z(p))||_2.
     """
 
     min_excess: float
@@ -126,8 +127,12 @@ def clearing_residuals(p: np.ndarray, z: np.ndarray):
     """Natural-map residual ||p - [p - z]_+||_2, min_i z_i and <p, z> of a
     price vector p with excess supply z, or of each row of an (R, n) block
     of them, as arrays of shape (R,). A row gives the same bits alone as
-    in any block."""
-    natural = p - np.maximum(p - z, 0.0)
+    in any block.
+
+    The residual is computed as ||min(p, z)||_2: min(p, z) equals
+    p - [p - z]_+ in exact arithmetic and on NaN and +-inf, and where
+    |p| >> |z|, p - z rounds to p and that form reads 0."""
+    natural = np.minimum(p, z)
     residual = np.sqrt(np.einsum("...i,...i->...", natural, natural))
     return residual, z.min(axis=-1), np.einsum("...i,...i->...", p, z)
 
@@ -139,7 +144,8 @@ class ProductivityCheck:
     Truthy iff feasible supply can strictly exceed total expected demand
     in every good; then `supply` (one vector per supplier, the box upper
     corners) and `shares` (one simplex point used by every consumer
-    type) witness the strict inequality.
+    type, H / sum(H) with H the summed upper corners) witness the strict
+    inequality.
     """
 
     ok: bool
@@ -206,26 +212,16 @@ class Market:
 
         With box capacities the best feasible supply is the upper corner
         H = sum_k hi_k, and total expected demand ranges over N * simplex
-        with N the total population. Writing u = H / N, strict dominance
-        in every good is achievable iff u > 0 everywhere and either
-        sum_i min(u_i, 1) > 1, or n = 1 and u_1 > 1 (a single good takes
-        the whole simplex, so the capped sum test degenerates there).
+        with N the total population. Strict dominance in every good is
+        achievable iff H > 0 everywhere and sum(H) > N: then the shares
+        H / sum(H) give demand N * H_i / sum(H) < H_i, and a simplex point
+        q with H_i > N * q_i in every good gives sum(H) > N.
         """
         cap = np.sum([s.hi for s in self.suppliers], axis=0)
-        pop = self.total_population
-        u = cap / pop
-        if np.any(u <= 0):
+        total = cap.sum()
+        if np.any(cap <= 0) or not total > self.total_population:
             return ProductivityCheck(False)
-        capped = np.minimum(u, 1.0)
-        if self.n == 1:
-            if u[0] <= 1.0:
-                return ProductivityCheck(False)
-            shares = np.ones(1)
-        elif capped.sum() > 1.0:
-            shares = capped / capped.sum()
-        else:
-            return ProductivityCheck(False)
-        return ProductivityCheck(True, tuple(s.hi.copy() for s in self.suppliers), shares)
+        return ProductivityCheck(True, tuple(s.hi.copy() for s in self.suppliers), cap / total)
 
     def equilibrium_residual(self, p) -> EquilibriumResidual:
         """Clearing residuals of Definition-style equilibrium conditions at p."""

@@ -12,7 +12,9 @@ conjugate is the generalized entropy
           + sum_l (1 - mu_l) Q_l ln Q_l,       Q_l = sum_{i in N_l} q_i.
 
 Everything is evaluated through per-nest log-sum-exp (the raw formula
-overflows for moderate v / mu), so values are safe for |v_i| <= 700.
+overflows for moderate v / mu), so values are finite for any v whose
+v / mu is finite: `surplus` of (1e300, 0, 0) with nests ((0, 1), (2,))
+and mu = (0.5, 1) is 1e300.
 All functions accept batched utilities of shape (..., n) and return
 shapes (...) or (..., n). `surplus` and `choice_probabilities` work
 goods-major: on the transposed view v.T, each nest is one row gather of

@@ -6,10 +6,11 @@ that fits: `real` for real-valued data, `integer` for counts, sizes,
 seeds and indices, `require_finite` for the magnitude bound of market
 data, and `check_array` for the price and utility arrays of the
 evaluation functions. A refused input raises a MarketclearError
-subclass whose message reads `<field>: <message>`; `real` and
-`integer` raise the class their caller names, so that a solver option
-is a ConfigError and a sampler argument a DomainError with the same
-wording. This module imports no other module of the package.
+subclass whose message reads `<field>: <message>`; `real`, `integer`
+and `require_finite` raise the class their caller names, so that a
+solver option is a ConfigError and a sampler argument a DomainError
+with the same wording. This module imports no other module of the
+package.
 """
 
 from __future__ import annotations
@@ -64,14 +65,14 @@ class ConfigError(MarketclearError, ValueError):
     """Invalid solver configuration."""
 
 
-def require(ok, code: str, field: str, message: str) -> None:
-    """Raise StructureError(message, code, field) unless `ok` holds.
+def require(ok, code: str, field: str, message: str, error=StructureError) -> None:
+    """Raise error(message, code, field) unless `ok` holds.
 
     For an array `ok` the field is indexed at its first False entry.
     """
     ok = np.asarray(ok)
     if not ok.all():
-        raise StructureError(
+        raise error(
             message, code, f"{field}[{np.flatnonzero(~ok)[0]}]" if ok.ndim else field
         )
 
@@ -109,13 +110,14 @@ def integer(value, field: str, least: int = 0, error=StructureError) -> int:
     return int(value)
 
 
-def require_finite(**fields) -> None:
-    """Raise a non-finite StructureError at the first NaN or infinite
-    entry, or at the first entry of magnitude above MAX_MAGNITUDE."""
+def require_finite(error=StructureError, /, **fields) -> None:
+    """Raise a non-finite `error`, named as in `require`, at the first NaN
+    or infinite entry, or at the first entry of magnitude above
+    MAX_MAGNITUDE."""
     for name, value in fields.items():
-        require(np.isfinite(value), CODE_NON_FINITE, name, "must be finite")
+        require(np.isfinite(value), CODE_NON_FINITE, name, "must be finite", error)
         require(np.abs(value) <= MAX_MAGNITUDE, CODE_NON_FINITE, name,
-                f"magnitude exceeds {MAX_MAGNITUDE:g}")
+                f"magnitude exceeds {MAX_MAGNITUDE:g}", error)
 
 
 def check_array(x, n: int, field: str, nonnegative: bool = False) -> np.ndarray:

@@ -15,7 +15,8 @@ iterations; the scheme chooses the momentum sequence and nothing else.
 Each iteration makes one single-point call for z(q_t), with q_t = p_t
 where the momentum is zero. At the end of a block one batched call of
 the market's unchecked evaluator prices all of its iterates, and one
-call of `clearing_residuals` gives the stop test and every trace column.
+call of `clearing_residuals` gives the stop test and every trace column;
+the residual is the natural map's closed form ||min(p, z)||_2.
 The first row whose residual is at most tol ends the solve, and the rows
 after it are dropped. A non-finite iterate ends its block: the rows
 before it are priced, and unless one of them meets tol the solve raises
@@ -61,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .market import Market, clearing_residuals
-from .rules import ConfigError, DomainError, MarketclearError, integer, real
+from .rules import ConfigError, DomainError, MarketclearError, integer, real, require_finite
 
 log = logging.getLogger("marketclear.solvers")
 
@@ -132,7 +133,8 @@ class Trace:
     `iters` (t = 1..T) is the one iteration index of every trace.
 
     grad_norm is the natural-map residual ||p_t - [p_t - z(p_t)]_+||_2,
-    the direct measure of the market-clearing conditions. `solve` takes
+    the direct measure of the market-clearing conditions, computed as its
+    closed form ||min(p_t, z(p_t))||_2 (`clearing_residuals`). `solve` takes
     the ter column from batched calls of the market's unchecked
     evaluator, 64 iterates each, so it agrees with single-point TER(p_t)
     to 1e-12 * max(1, |TER|), not bit for bit; z comes from the same
@@ -200,14 +202,18 @@ def _require_productive(market: Market) -> None:
 
 
 def _initial_prices(market: Market, p0: np.ndarray | None) -> np.ndarray:
-    """The start prices, zero by default; the one check of a given p0."""
+    """The start prices, zero by default; the one check of a given p0.
+    Its entries follow the rule of market data, finite and at most
+    MAX_MAGNITUDE: the potential and <p, z> at a larger price can
+    overflow."""
     if p0 is None:
         return np.zeros(market.n)
     p = real(p0, "p0", error=ConfigError)
-    if np.any(p < 0) or not np.all(np.isfinite(p)):
-        raise ConfigError("initial prices must be finite and nonnegative")
+    if np.any(p < 0):
+        raise ConfigError("initial prices must be nonnegative")
     if p.shape != (market.n,):
         raise ConfigError(f"initial prices have shape {p.shape}, expected ({market.n},)")
+    require_finite(ConfigError, p0=p)
     return p
 
 

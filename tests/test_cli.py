@@ -62,6 +62,13 @@ class TestSolve:
         assert r.returncode == 2
         table = specio.read_trace(str(trace_path))
         assert table.iterations == 3
+        # prices so far above z that p - z rounds to p: no false convergence
+        p0 = tmp_path / "p0.json"
+        p0.write_text(json.dumps([1e18] * 6))
+        r = run_cli("solve", "--market", MARKET_N6, "--p0", str(p0), "--max-iters", "200")
+        assert r.returncode == 2, r.stderr
+        assert "iters=200 converged=false " in r.stdout
+        assert "residual=0.000e+00" not in r.stdout
 
     def test_oversized_step_refused(self):
         # single-good smoothness constant is 4, so the cap is 0.25
@@ -135,12 +142,14 @@ class TestSolve:
 
     def test_non_numeric_p0(self, tmp_path):
         p0 = tmp_path / "p0.json"
-        for text, kind in (('["a"]', "str"), ("[true]", "bool")):  # numpy would read true as 1.0
+        for text, message in (('["a"]', "expected a number, got str"),
+                              ("[true]", "expected a number, got bool"),  # numpy reads 1.0
+                              # a number, but TER and <p, z> overflow there
+                              ("[1e308]", "magnitude exceeds 1e+50")):
             p0.write_text(text)
             r = run_cli("solve", "--market", SINGLE_GOOD, "--p0", str(p0))
             assert r.returncode == 1
-            assert r.stderr == f"error: p0[0]: expected a number, got {kind}\n"
-            assert "Traceback" not in r.stderr
+            assert r.stderr == f"error: p0[0]: {message}\n"  # and no warning
 
     def test_summary_is_the_last_trace_row(self, tmp_path):
         trace_path = tmp_path / "run.csv"

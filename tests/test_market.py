@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import hypothesis.strategies as st
 import mpmath as mp
@@ -176,9 +177,15 @@ class TestProductivity:
         assert not self._market([2.0], pop=2, n=1).productivity_check()
 
     def test_witness_strictly_dominates(self):
-        for seed in range(10):
-            m = specio.market_from_document(specio.generate_market(4, 2, 2, seed=seed))
-            check = m.productivity_check()
+        markets = [specio.market_from_document(specio.generate_market(4, 2, 2, seed=seed))
+                   for seed in range(10)]
+        # a capacity below the rounding of a sum of capped ratios (1 + 1e-17
+        # rounds to 1), and capacities that overflow divided by the population
+        markets += [self._market([5.0, 1e-17], pop=1), self._market([1e50, 1e50], pop=1e-300)]
+        for m in markets:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                check = m.productivity_check()
             assert check
             total_supply = np.sum(check.supply, axis=0)
             demand = m.total_population * check.shares
@@ -216,6 +223,22 @@ class TestEquilibriumResidual:
         block = clearing_residuals(p, z)
         for r in range(rows):
             assert [col[r] for col in block] == list(clearing_residuals(p[r], z[r]))
+
+    @given(st.lists(st.tuples(st.integers(-100, 100), st.integers(-100, 100)),
+                    min_size=1, max_size=20))
+    def test_residual_is_the_natural_map(self, pairs):
+        # every step of p - [p - z]_+ is exact on small integers
+        p, z = np.array(pairs, dtype=float).T
+        natural = p - np.maximum(p - z, 0.0)
+        assert clearing_residuals(p, z)[0] == np.sqrt(np.dot(natural, natural))
+
+    @given(st.lists(st.tuples(st.floats(1.0, 1e50),
+                              st.floats(1.0, 1e50) | st.floats(-1e50, -1.0)),
+                    min_size=1, max_size=20))
+    def test_residual_keeps_small_excess_under_large_prices(self, pairs):
+        # p - z rounds to p once p >> |z|; the residual must not read 0
+        p, z = np.array(pairs).T
+        assert clearing_residuals(p, z)[0] > 0
 
     def test_converged_run_has_small_residuals(self, six_good_market):
         trace = solve(six_good_market, SolverConfig(scheme="accelerated"))
