@@ -21,16 +21,23 @@ outputs. ln S is computed in logs (``_log_stable``), not as the log of
 S, which keeps it finite for small mu, where S itself under- or
 overflows; on the same uniforms it is within a few ulps of the log of S
 (under 1e-14 on market_n6.json). Exact floating-point
-argmax ties (a measure-zero event) resolve to the lowest index via
-np.argmax.
+argmax ties (a measure-zero event) resolve to the lowest index, as
+np.argmax resolves them: ``_argmax_counts`` counts a batch by row passes
+and falls back to np.argmax on any batch with a tie or a NaN.
 
 Workspace contract: ``_batches`` allocates one workspace per stream (the
-error block, the Gumbel and stable-uniform buffers and the scratch of
-``_log_stable``) and writes every batch into it, so the next batch
-overwrites each array it yielded. Every consumer must reduce a batch
+goods-major (n, BATCH_SIZE) error block, the stable-uniform buffer and
+the scratch of ``_log_stable``) and writes every batch into it, so the
+next batch overwrites each array it yielded. A draw reads each nest's
+(m, size) sample-major block of Gumbel uniforms, writes its column j,
+scaled and turned into Gumbels, into the row of the nest's j-th good,
+and adds ln S and scales by mu there: the element operations of a
+sample-major draw, so the errors keep every bit. ``_batches`` yields
+each block as its (m, n) transpose. Every consumer must reduce a batch
 before it draws the next, as ``monte_carlo_choice_frequencies`` and
-``empirical_error_covariance`` do. Public ``sample_nested_errors`` draws
-into a workspace of its own and returns a fresh array.
+``empirical_error_covariance`` do; both reduce the goods-major rows,
+with contiguous passes. Public ``sample_nested_errors`` draws into a
+workspace of its own and returns a fresh (size, n) array.
 """
 
 from __future__ import annotations
@@ -154,46 +161,61 @@ class _Workspace:
     of up to ``rows`` rows and overwritten by every ``draw``."""
 
     def __init__(self, ns: NestStructure, rows: int):
-        # nests are sorted; adjacent goods take a column slice, much cheaper
-        # to write than a fancy index
-        self.nests = [
-            (len(nest), mu,
-             slice(nest[0], nest[-1] + 1) if nest[-1] - nest[0] == len(nest) - 1 else list(nest))
-            for nest, mu in zip(ns.nests, ns.mu)
-        ]
-        self.eps = np.empty((rows, ns.n))
-        self.gumbel = np.empty(rows * max(size for size, _, _ in self.nests))
+        self.nests = list(zip(ns.nests, ns.mu))
+        self.eps = np.empty((ns.n, rows))  # goods-major: good i's errors in row i
         self.uniform = np.empty(2 * rows)  # phi's uniforms, then W's
         self.scratch = np.empty((3, rows))  # for _log_stable
 
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        """m exact joint draws, a view of the workspace of shape (m, n)."""
-        eps = self.eps[:m]
-        for size, mu, idx in self.nests:
-            g = self.gumbel[:m * size].reshape(m, size)
-            _gumbel_inplace(_open_uniform(rng, g.shape, out=g))
+        """m exact joint draws, a view of the workspace of shape (n, m)."""
+        eps = self.eps[:, :m]
+        for nest, mu in self.nests:
+            # the stream's order: the nest's Gumbel uniforms as an (m, size)
+            # sample-major block, then its stable variate's
+            k = rng.integers(1, _TWO_53, size=(m, len(nest)))
             if mu != 1.0:
                 u = _open_uniform(rng, 2 * m, out=self.uniform[:2 * m])
-                g += _log_stable(mu, u[:m], u[m:], self.scratch[:, :m])[:, None]
-                g *= mu
-            eps[:, idx] = g
+                ln_s = _log_stable(mu, u[:m], u[m:], self.scratch[:, :m])
+            for j, i in enumerate(nest):
+                row = _gumbel_inplace(np.multiply(k[:, j], 2.0**-53, out=eps[i]))
+                if mu != 1.0:
+                    row += ln_s
+                    row *= mu
         return eps
 
 
 def sample_nested_errors(ns: NestStructure, rng: np.random.Generator, size: int | None = None):
     """Exact draws from the nested logit joint; shape (size, n) or (n,)."""
     m = 1 if size is None else integer(size, "size", 0, DomainError)
-    eps = _Workspace(ns, m).draw(rng, m)
+    eps = np.ascontiguousarray(_Workspace(ns, m).draw(rng, m).T)
     return eps[0] if size is None else eps
 
 
 def _batches(ns: NestStructure, samples: int, seed: int):
     """Exact joint draws from one seeded stream, in blocks of BATCH_SIZE rows,
-    each written over the last (see the workspace contract above)."""
+    each written over the last (see the workspace contract above); every
+    block is an (m, n) view of the goods-major workspace."""
     rng = np.random.default_rng(seed)
     workspace = _Workspace(ns, min(BATCH_SIZE, samples))
     for done in range(0, samples, BATCH_SIZE):
-        yield workspace.draw(rng, min(BATCH_SIZE, samples - done))
+        yield workspace.draw(rng, min(BATCH_SIZE, samples - done)).T
+
+
+def _argmax_counts(e: np.ndarray) -> np.ndarray:
+    """How often each good wins argmax over the columns of the goods-major
+    block e, shape (n, m): np.bincount(np.argmax(e, axis=0), minlength=n).
+
+    Each good's count is one pass over its row. Without ties and NaNs
+    exactly one good attains each column's maximum, so the counts sum to
+    m; otherwise (a tie counts twice, a NaN column never, and the two can
+    cancel in the sum) the block is counted by argmax, which takes the
+    first maximum and the first NaN.
+    """
+    top = np.maximum.reduce(e, axis=0)
+    counts = np.array([np.count_nonzero(row == top) for row in e])
+    if counts.sum() != e.shape[1] or np.isnan(top).any():
+        return np.bincount(np.argmax(e, axis=0), minlength=len(e))
+    return counts
 
 
 def monte_carlo_choice_frequencies(ns: NestStructure, v, samples: int, seed: int) -> np.ndarray:
@@ -205,8 +227,9 @@ def monte_carlo_choice_frequencies(ns: NestStructure, v, samples: int, seed: int
         raise DomainError(f"must have shape ({ns.n},)", field="utilities")
     counts = np.zeros(ns.n, dtype=np.int64)
     for eps in _batches(ns, samples, seed):
-        eps += v
-        counts += np.bincount(np.argmax(eps, axis=1), minlength=ns.n)
+        e = eps.T
+        e += v[:, None]
+        counts += _argmax_counts(e)
     return counts / samples
 
 
@@ -216,9 +239,19 @@ def empirical_error_covariance(ns: NestStructure, samples: int, seed: int) -> np
     seed = integer(seed, "seed", 0, DomainError)
     s1 = np.zeros(ns.n)
     s2 = np.zeros((ns.n, ns.n))
+    partial = np.empty(min(BATCH_SIZE, samples))
     for eps in _batches(ns, samples, seed):
-        s1 += eps.sum(axis=0)
-        s2 += eps.T @ eps
+        e = eps.T
+        # the bits of np.sum(eps, axis=0) on a sample-major (m, n) block:
+        # numpy sums its columns in element order, the last partial sum of
+        # np.add.accumulate, but one column (n = 1) is one contiguous
+        # array, which it sums pairwise, as np.sum of a row does
+        if len(e) == 1:
+            s1 += e.sum(axis=1)
+        else:
+            for i, row in enumerate(e):
+                s1[i] += np.add.accumulate(row, out=partial[:len(row)])[-1]
+        s2 += e @ e.T
     mean = s1 / samples
     return s2 / samples - np.outer(mean, mean)
 

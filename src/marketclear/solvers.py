@@ -18,7 +18,13 @@ the market's unchecked evaluator prices all of its iterates, and one
 call of `clearing_residuals` gives the stop test and every trace column;
 the residual is the natural map's closed form ||min(p, z)||_2.
 The first row whose residual is at most tol ends the solve, and the rows
-after it are dropped. A non-finite iterate ends its block: the rows
+after it are dropped. A block whose last three iterates are equal ends
+it too, with stop "stalled", not converged: with p_{t-2} = p_{t-1} = p_t
+the momentum term b (p - p_prev) is exactly 0, under either scheme, in
+the step that made p_t and in the next, so both take q = p_t. Then
+p_t = [p_t - h z(p_t)]_+ is the next iterate, and no later one can
+differ. This ends a start so far above z that p - h z(p) rounds to p.
+A non-finite iterate ends its block: the rows
 before it are priced, and unless one of them meets tol the solve raises
 DivergedError there. With T the iterations kept and T' those run (T
 rounded up to a multiple of 64, at most max_iters), each scheme makes
@@ -144,10 +150,11 @@ class Trace:
     oracle calls (T', the iterations run: the rows kept rounded up to a
     multiple of 64, at most max_iters) and `blocks` batched calls (one
     per 64 rows kept), its `wall_s`, and why it stopped, `stop`: "tol"
-    (then it `converged`) or "max_iters". A reference solve counts its
-    line-search points in `oracle_evals` and its Hessians, one batched
-    call on 2n rows each, in `blocks`, and stops with "no_step" when no
-    step is acceptable. A trace not made by a solver (a test's, or one
+    (then it `converged`), "stalled" (a block ended on three equal
+    iterates, a fixed point that misses tol) or "max_iters". A
+    reference solve counts its line-search points in `oracle_evals` and
+    its Hessians, one batched call on 2n rows each, in `blocks`, and
+    stops with "no_step" when no step is acceptable. A trace not made by a solver (a test's, or one
     read back from a file by `specio.read_trace`) keeps the defaults.
     """
 
@@ -315,8 +322,8 @@ def solve(market: Market, config: SolverConfig | None = None) -> Trace:
     iterates = np.empty((_TER_BLOCK, market.n))
     p_prev = p
     run = blocks = 0  # iterations run (one single-point call each), batched calls
-    stopped = False
-    while not stopped and run < config.max_iters:
+    stop = None
+    while stop is None and run < config.max_iters:
         rows = min(_TER_BLOCK, config.max_iters - run)
         finite = rows  # iterates of the block before the first non-finite one
         for k, beta in zip(range(rows), momentum):
@@ -332,13 +339,16 @@ def solve(market: Market, config: SolverConfig | None = None) -> Trace:
         if finite:
             blocks += 1
             value, z = flat.evaluate(iterates[:finite], True, True)
-            stopped = rec.record(iterates[:finite], value, z, tol=config.tol)
-        if finite < rows and not stopped:
+            if rec.record(iterates[:finite], value, z, tol=config.tol):
+                stop = "tol"
+        if finite < rows and stop is None:
             raise DivergedError(rec.iterations + 1)
+        if (stop is None and rows >= 3 and np.array_equal(iterates[rows - 3], iterates[rows - 2])
+                and np.array_equal(iterates[rows - 2], iterates[rows - 1])):
+            stop = "stalled"  # a fixed point of both schemes (module docstring)
 
     trace = rec.finish(config.scheme, oracle_evals=run, blocks=blocks,
-                       wall_s=time.perf_counter() - start,
-                       stop="tol" if stopped else "max_iters")
+                       wall_s=time.perf_counter() - start, stop=stop or "max_iters")
     log.info("solve done: iters=%d converged=%s stop=%s residual=%.3e oracle_evals=%d "
              "ter_blocks=%d wall_s=%.3f", trace.iterations, trace.converged, trace.stop,
              trace.grad_norm[-1], trace.oracle_evals, trace.blocks, trace.wall_s)

@@ -67,7 +67,7 @@ class TestSolve:
         p0.write_text(json.dumps([1e18] * 6))
         r = run_cli("solve", "--market", MARKET_N6, "--p0", str(p0), "--max-iters", "200")
         assert r.returncode == 2, r.stderr
-        assert "iters=200 converged=false " in r.stdout
+        assert "iters=64 converged=false " in r.stdout  # stalled after one block
         assert "residual=0.000e+00" not in r.stdout
 
     def test_oversized_step_refused(self):

@@ -15,7 +15,7 @@ from marketclear import (
     sample_nested_errors,
     standard_gumbel,
 )
-from marketclear.sampling import BATCH_SIZE, _batches, _log_stable
+from marketclear.sampling import BATCH_SIZE, _argmax_counts, _batches, _log_stable
 from marketclear.specio import load_market
 from marketclear.verify import VARIANCE_TOL, suite_correlation, suite_montecarlo
 
@@ -320,6 +320,76 @@ class TestWorkspaceStream:
         rng = np.random.default_rng(3)
         assert not np.shares_memory(sample_nested_errors(ns, rng, 4),
                                     sample_nested_errors(ns, rng, 4))
+
+
+class TestArgmaxCounts:
+    """`_argmax_counts` on goods-major blocks against np.argmax over the
+    sample-major rows, which gives a tie to the lowest index."""
+
+    @staticmethod
+    def _block(columns):
+        return np.array(columns, dtype=float).T  # (n, m): column c is sample c
+
+    @pytest.mark.parametrize("columns", [
+        [[0.5, 1.0, 0.0], [2.0, -1.0, 0.0], [0.0, 0.0, 3.0]],  # no tie
+        [[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [3.0, 0.0, 3.0], [1.0, 1.0, 1.0]],  # ties
+        [[0.5, np.nan, 0.0], [np.nan, np.nan, 1.0], [2.0, 0.0, np.nan]],  # NaNs
+        [[np.inf, 1.0, 0.0], [-np.inf, -np.inf, -np.inf], [0.0, np.inf, np.inf],
+         [-np.inf, 0.0, -np.inf]],  # infinities, tied and not
+        # a tie and a NaN in one batch: the counts still sum to m
+        [[1.0, 0.0, 1.0], [0.0, np.nan, 0.5], [2.0, 0.0, 1.0]],
+    ])
+    def test_matches_argmax(self, columns):
+        block = self._block(columns)
+        expected = np.bincount(np.argmax(block.T, axis=1), minlength=len(block))
+        np.testing.assert_array_equal(_argmax_counts(block), expected)
+
+    def test_tie_goes_to_the_lowest_index(self):
+        block = self._block([[1.0, 3.0, 3.0, 3.0], [0.0, 2.0, 0.0, 2.0]])
+        np.testing.assert_array_equal(_argmax_counts(block), [0, 2, 0, 0])
+
+    def test_one_good(self):
+        np.testing.assert_array_equal(_argmax_counts(np.zeros((1, 5))), [5])
+
+
+class TestReferenceFormulas:
+    """Batch by batch, the goods-major reductions against the sample-major
+    formulas on successive `sample_nested_errors` calls of one generator:
+    argmax(v + eps), eps.sum(axis=0) and eps.T @ eps, every bit."""
+
+    SAMPLES = 3 * BATCH_SIZE + 17
+
+    @pytest.fixture(scope="class", params=[0, 1, "unit mu", "one good"])
+    def ns(self, request):
+        if request.param == "unit mu":
+            return NestStructure(5, ((0, 2, 3), (1, 4)), (1.0, 0.8))
+        if request.param == "one good":
+            return NestStructure.single(1)
+        return _market_n6().consumers[request.param].nests
+
+    def _draws(self, ns, seed):
+        rng = np.random.default_rng(seed)
+        for done in range(0, self.SAMPLES, BATCH_SIZE):
+            eps = sample_nested_errors(ns, rng, min(BATCH_SIZE, self.SAMPLES - done))
+            assert eps.flags.c_contiguous
+            yield eps
+
+    def test_choice_frequencies(self, ns):
+        v = np.random.default_rng(1).uniform(-2.0, 2.0, ns.n)
+        counts = np.zeros(ns.n, dtype=np.int64)
+        for eps in self._draws(ns, 5):
+            counts += np.bincount(np.argmax(v + eps, axis=1), minlength=ns.n)
+        np.testing.assert_array_equal(
+            monte_carlo_choice_frequencies(ns, v, self.SAMPLES, 5), counts / self.SAMPLES)
+
+    def test_error_covariance(self, ns):
+        s1, s2 = np.zeros(ns.n), np.zeros((ns.n, ns.n))
+        for eps in self._draws(ns, 6):
+            s1 += eps.sum(axis=0)
+            s2 += eps.T @ eps
+        mean = s1 / self.SAMPLES
+        np.testing.assert_array_equal(empirical_error_covariance(ns, self.SAMPLES, 6),
+                                      s2 / self.SAMPLES - np.outer(mean, mean))
 
 
 class TestGoldenSuiteValues:

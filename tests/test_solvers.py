@@ -161,10 +161,14 @@ class TestSolve:
         assert not trace.converged
         assert trace.iterations == 3
         assert trace.stop == "max_iters"
-        # prices so far above z that p - z rounds to p: no false convergence
-        far = solve(six_good_market, SolverConfig(p0=np.full(6, 1e18), max_iters=200))
-        assert (far.iterations, far.stop) == (200, "max_iters")
-        assert far.grad_norm[-1] > 1.0
+        # prices so far above z that p - z rounds to p: no false convergence,
+        # and the first block's equal iterates end the run
+        for scheme in solvers.SCHEMES:
+            far = solve(six_good_market,
+                        SolverConfig(scheme=scheme, p0=np.full(6, 1e18), max_iters=200))
+            assert (far.iterations, far.stop, far.converged) == (64, "stalled", False)
+            assert far.oracle_evals == 64
+            assert far.grad_norm[-1] > 1.0
 
     def test_trace_feasible_iterates(self, six_good_market):
         trace = solve(six_good_market, SolverConfig(scheme="basic"))
