@@ -1,15 +1,15 @@
 """Command-line front end: gen, solve, verify, rate.
 
 Exit codes: 0 success; 1 for a MarketclearError or OSError, reported by
-`main` as one `error: ...` line on stderr; 2 when the solver hits the
-iteration cap without converging (the trace is still written).
+`main` as one `error: ...` line on stderr; 2 when `solve` stops without
+converging, at the iteration cap (stop "max_iters") or on a repeated
+iterate (stop "stalled"); the trace is still written.
 MARKETCLEAR_LOG={error|info|debug} controls logging verbosity on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -41,18 +41,10 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _load_p0(path: str):
-    """The JSON document of a --p0 file; the solver converts and checks it."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
-    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
-        raise ConfigError(str(exc)) from exc
-
-
 def _cmd_solve(args) -> int:
     market = specio.load_market(args.market)
-    p0 = _load_p0(args.p0) if args.p0 else None
+    # the solver converts and checks the document
+    p0 = specio.read_json(args.p0, ConfigError, "p0") if args.p0 else None
     config = SolverConfig(
         scheme=args.scheme,
         step=args.step,

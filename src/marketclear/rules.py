@@ -70,6 +70,8 @@ def require(ok, code: str, field: str, message: str, error=StructureError) -> No
 
     For an array `ok` the field is indexed at its first False entry.
     """
+    if ok is True:  # a passed scalar check skips the array conversion
+        return
     ok = np.asarray(ok)
     if not ok.all():
         raise error(

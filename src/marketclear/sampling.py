@@ -25,19 +25,21 @@ argmax ties (a measure-zero event) resolve to the lowest index, as
 np.argmax resolves them: ``_argmax_counts`` counts a batch by row passes
 and falls back to np.argmax on any batch with a tie or a NaN.
 
-Workspace contract: ``_batches`` allocates one workspace per stream (the
-goods-major (n, BATCH_SIZE) error block, the stable-uniform buffer and
-the scratch of ``_log_stable``) and writes every batch into it, so the
-next batch overwrites each array it yielded. A draw reads each nest's
-(m, size) sample-major block of Gumbel uniforms, writes its column j,
-scaled and turned into Gumbels, into the row of the nest's j-th good,
-and adds ln S and scales by mu there: the element operations of a
-sample-major draw, so the errors keep every bit. ``_batches`` yields
-each block as its (m, n) transpose. Every consumer must reduce a batch
-before it draws the next, as ``monte_carlo_choice_frequencies`` and
-``empirical_error_covariance`` do; both reduce the goods-major rows,
-with contiguous passes. Public ``sample_nested_errors`` draws into a
-workspace of its own and returns a fresh (size, n) array.
+Workspace contract: ``_draws`` is the one draw loop. For a list of block
+sizes it allocates, once, the goods-major (n, max size) error block, the
+stable-uniform buffer and the scratch of ``_log_stable``, and writes
+every block into them, so the next block overwrites each view it
+yielded. A block of m draws reads each nest's (m, size) sample-major
+array of Gumbel uniforms, writes its column j, scaled and turned into
+Gumbels, into the row of the nest's j-th good, and adds ln S and scales
+by mu there: the element operations of a sample-major draw, so the
+errors keep every bit. ``_batches`` runs it over the BATCH_SIZE blocks
+of a seeded stream and yields each as its (m, n) transpose; every
+consumer must reduce a batch before it draws the next, as
+``monte_carlo_choice_frequencies`` and ``empirical_error_covariance``
+do, both with contiguous passes over the goods-major rows. Public
+``sample_nested_errors`` draws one block and returns a fresh (size, n)
+copy of it.
 """
 
 from __future__ import annotations
@@ -85,9 +87,9 @@ def standard_gumbel(rng: np.random.Generator, size=None):
     return g[0] if size is None else g
 
 
-def _log_sin(x: np.ndarray, t2: np.ndarray | None = None) -> np.ndarray:
+def _log_sin(x: np.ndarray, t2: np.ndarray) -> np.ndarray:
     """ln sin x for x in (0, pi), in place, from t = tan(x / 2); ``t2``,
-    shaped like x, is overwritten with 1 + t^2 (a fresh array when None).
+    shaped like x, is overwritten with 1 + t^2.
 
     sin x = 2t / (1 + t^2). numpy evaluates float64 ``tan`` with a SIMD
     kernel and ``sin`` with a scalar one (65,536 values, numpy 2.4.6 on an
@@ -156,49 +158,45 @@ def positive_stable(alpha: float, rng: np.random.Generator, size=None):
     return s[0] if size is None else s
 
 
-class _Workspace:
-    """The arrays one sample stream draws into, allocated once for batches
-    of up to ``rows`` rows and overwritten by every ``draw``."""
-
-    def __init__(self, ns: NestStructure, rows: int):
-        self.nests = list(zip(ns.nests, ns.mu))
-        self.eps = np.empty((ns.n, rows))  # goods-major: good i's errors in row i
-        self.uniform = np.empty(2 * rows)  # phi's uniforms, then W's
-        self.scratch = np.empty((3, rows))  # for _log_stable
-
-    def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        """m exact joint draws, a view of the workspace of shape (n, m)."""
-        eps = self.eps[:, :m]
-        for nest, mu in self.nests:
+def _draws(ns: NestStructure, rng: np.random.Generator, sizes: list[int]):
+    """m exact joint draws for each m in sizes, each an (n, m) view of one
+    goods-major workspace that the next block overwrites (see the
+    workspace contract above)."""
+    rows = max(sizes)
+    eps = np.empty((ns.n, rows))  # good i's errors in row i
+    uniform = np.empty(2 * rows)  # phi's uniforms, then W's
+    scratch = np.empty((3, rows))  # for _log_stable
+    for m in sizes:
+        block = eps[:, :m]
+        for nest, mu in zip(ns.nests, ns.mu):
             # the stream's order: the nest's Gumbel uniforms as an (m, size)
             # sample-major block, then its stable variate's
             k = rng.integers(1, _TWO_53, size=(m, len(nest)))
             if mu != 1.0:
-                u = _open_uniform(rng, 2 * m, out=self.uniform[:2 * m])
-                ln_s = _log_stable(mu, u[:m], u[m:], self.scratch[:, :m])
+                u = _open_uniform(rng, 2 * m, out=uniform[:2 * m])
+                ln_s = _log_stable(mu, u[:m], u[m:], scratch[:, :m])
             for j, i in enumerate(nest):
-                row = _gumbel_inplace(np.multiply(k[:, j], 2.0**-53, out=eps[i]))
+                row = _gumbel_inplace(np.multiply(k[:, j], 2.0**-53, out=block[i]))
                 if mu != 1.0:
                     row += ln_s
                     row *= mu
-        return eps
+        del k  # not held while the caller reduces the block
+        yield block
 
 
 def sample_nested_errors(ns: NestStructure, rng: np.random.Generator, size: int | None = None):
     """Exact draws from the nested logit joint; shape (size, n) or (n,)."""
     m = 1 if size is None else integer(size, "size", 0, DomainError)
-    eps = np.ascontiguousarray(_Workspace(ns, m).draw(rng, m).T)
+    eps = np.ascontiguousarray(next(_draws(ns, rng, [m])).T)
     return eps[0] if size is None else eps
 
 
 def _batches(ns: NestStructure, samples: int, seed: int):
     """Exact joint draws from one seeded stream, in blocks of BATCH_SIZE rows,
-    each written over the last (see the workspace contract above); every
-    block is an (m, n) view of the goods-major workspace."""
-    rng = np.random.default_rng(seed)
-    workspace = _Workspace(ns, min(BATCH_SIZE, samples))
-    for done in range(0, samples, BATCH_SIZE):
-        yield workspace.draw(rng, min(BATCH_SIZE, samples - done)).T
+    each an (m, n) view written over the last."""
+    sizes = [min(BATCH_SIZE, samples - done) for done in range(0, samples, BATCH_SIZE)]
+    for block in _draws(ns, np.random.default_rng(seed), sizes):
+        yield block.T
 
 
 def _argmax_counts(e: np.ndarray) -> np.ndarray:

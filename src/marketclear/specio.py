@@ -13,9 +13,10 @@ with 1-based alternative indices in `members` (converted to 0-based
 internally). The reader checks the document's shape, and `$.n` and
 `members` by `rules.integer` because it needs them first; the
 market constructors check the other values, and all their errors are
-reported here at the field's document path. Documents are serialized
-canonically (sorted keys, 2-space indent, full-precision floats) so that
-generate -> write -> parse -> write is byte-identical.
+reported here as a SpecError whose `.field` is the document path.
+Documents are serialized canonically (sorted keys, 2-space indent,
+full-precision floats) so that generate -> write -> parse -> write is
+byte-identical.
 
 Trace files are CSV with the header TRACE_HEADER, one row per iteration
 at 17 significant digits, and a final comment line `# price = [..]`.
@@ -42,6 +43,7 @@ from .rules import (  # the CODE_* names are re-exported
     MarketclearError,
     StructureError,
     integer,
+    require,
 )
 from .solvers import Trace
 from .supply import Supplier
@@ -53,17 +55,11 @@ _DOC_FIELDS = {"a": "utilities{}", "lo": "capacity.lo{}", "hi": "capacity.hi{}",
 
 
 class SpecError(MarketclearError, ValueError):
-    """Spec document rejected; carries an error code and a field path."""
+    """Spec document or trace file rejected. `.field` is the document path,
+    or the trace file's path, and the text ends with the code in brackets."""
 
-    def __init__(self, code: str, path: str, message: str):
-        super().__init__(f"{path}: {message} [{code}]")
-        self.code = code
-        self.path = path
-
-
-def _require(cond: bool, code: str, path: str, message: str) -> None:
-    if not cond:
-        raise SpecError(code, path, message)
+    def __str__(self) -> str:
+        return f"{super().__str__()} [{self.code}]"
 
 
 def _build(cls, path: str, **fields):
@@ -73,27 +69,27 @@ def _build(cls, path: str, **fields):
     except StructureError as exc:
         name, bracket, index = exc.field.partition("[")
         field = _DOC_FIELDS.get(name, name + "{}").format(bracket + index)
-        raise SpecError(exc.code, f"{path}.{field}" if field else path, exc.message) from exc
+        raise SpecError(exc.message, exc.code, f"{path}.{field}" if field else path) from exc
 
 
 def _vector(doc: Any, n: int, path: str) -> list:
-    _require(len(_array(doc, path)) == n, CODE_MALFORMED, path,
-             f"expected {n} entries, got {len(doc)}")
+    require(len(_array(doc, path)) == n, CODE_MALFORMED, path,
+            f"expected {n} entries, got {len(doc)}", SpecError)
     return doc
 
 
 def _mapping(doc: Any, path: str) -> dict:
-    _require(isinstance(doc, dict), CODE_MALFORMED, path, "expected an object")
+    require(isinstance(doc, dict), CODE_MALFORMED, path, "expected an object", SpecError)
     return doc
 
 
 def _key(doc: dict, name: str, path: str) -> Any:
-    _require(name in doc, CODE_MALFORMED, path, f"missing key {name!r}")
+    require(name in doc, CODE_MALFORMED, path, f"missing key {name!r}", SpecError)
     return doc[name]
 
 
 def _array(doc: Any, path: str) -> list:
-    _require(isinstance(doc, list), CODE_MALFORMED, path, "expected an array")
+    require(isinstance(doc, list), CODE_MALFORMED, path, "expected an array", SpecError)
     return doc
 
 
@@ -122,8 +118,8 @@ def _parse_supplier(doc: Any, n: int, path: str) -> Supplier:
     hi = _vector(_key(cap, "hi", f"{path}.capacity"), n, f"{path}.capacity.hi")
     cost = _mapping(_key(doc, "base_cost", path), f"{path}.base_cost")
     kind = _key(cost, "kind", f"{path}.base_cost")
-    _require(kind in ("linear", "quadratic"), CODE_MALFORMED,
-             f"{path}.base_cost.kind", f"unknown base cost kind {kind!r}")
+    require(kind in ("linear", "quadratic"), CODE_MALFORMED,
+            f"{path}.base_cost.kind", f"unknown base cost kind {kind!r}", SpecError)
     c = _vector(_key(cost, "c", f"{path}.base_cost"), n, f"{path}.base_cost.c")
     d = (_vector(_key(cost, "d", f"{path}.base_cost"), n, f"{path}.base_cost.d")
          if kind == "quadratic" else np.zeros(n))
@@ -180,14 +176,19 @@ def dumps_document(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def load_market(path: str) -> Market:
-    """Read and validate a market spec file."""
+def read_json(path: str, error, field: str) -> Any:
+    """The JSON document of the file at path; invalid JSON, or bytes that
+    are not UTF-8, raise error(message, CODE_MALFORMED, field)."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
-        raise SpecError(CODE_MALFORMED, "$", f"invalid JSON: {exc}") from exc
-    return market_from_document(doc)
+            return json.load(f)
+    except ValueError as exc:
+        raise error(f"invalid JSON: {exc}", CODE_MALFORMED, field) from exc
+
+
+def load_market(path: str) -> Market:
+    """Read and validate a market spec file."""
+    return market_from_document(read_json(path, SpecError, "$"))
 
 
 def save_document(doc: dict, path: str) -> None:
@@ -294,28 +295,29 @@ def read_trace(path: str) -> Trace:
         with open(path, "r", encoding="utf-8") as f:
             header, *lines = f.read().split("\n")
     except UnicodeDecodeError as exc:
-        raise SpecError(CODE_MALFORMED, path, str(exc)) from exc
-    _require(header == TRACE_HEADER, CODE_MALFORMED, path, f"unexpected trace header {header!r}")
+        raise SpecError(str(exc), CODE_MALFORMED, path) from exc
+    require(header == TRACE_HEADER, CODE_MALFORMED, path, f"unexpected trace header {header!r}",
+            SpecError)
     lines = [line.strip() for line in lines]
     data = [line for line in lines if line and not line.startswith("#")]
     comments = [line.lstrip("#").strip() for line in lines if line.startswith("#")]
     footer = [body for body in comments if body.startswith("price")]  # the last one counts
-    _require(bool(footer), CODE_MALFORMED, path, "trace file has no price footer")
+    require(bool(footer), CODE_MALFORMED, path, "trace file has no price footer", SpecError)
     try:
         rows = (np.loadtxt(data, _ROW, comments=None, delimiter=",", ndmin=1) if data
                 else np.empty(0, _ROW))
         inner = footer[-1].split("=", 1)[-1].strip().strip("[]")
         price = np.array([float(x) for x in inner.split(",")] if inner else [])
     except ValueError as exc:  # a row or the footer does not parse
-        raise SpecError(CODE_MALFORMED, path, str(exc)) from exc
+        raise SpecError(str(exc), CODE_MALFORMED, path) from exc
     wrong = np.flatnonzero(rows["iter"] != np.arange(1, len(rows) + 1))
     if wrong.size:
         t = wrong[0]
-        raise SpecError(CODE_MALFORMED, path,
-                        f"row {t + 1}, column iter is {rows['iter'][t]}, expected {t + 1}")
+        raise SpecError(f"row {t + 1}, column iter is {rows['iter'][t]}, expected {t + 1}",
+                        CODE_MALFORMED, path)
     for name, values in [(name, rows[name]) for name in _ROW.names[1:]] + [("price", price)]:
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             where = f"price[{bad[0]}]" if name == "price" else f"row {bad[0] + 1}, column {name}"
-            raise SpecError(CODE_MALFORMED, path, f"{where} is not finite: {values[bad[0]]}")
+            raise SpecError(f"{where} is not finite: {values[bad[0]]}", CODE_MALFORMED, path)
     return Trace(*(rows[name] for name in _ROW.names[1:]), price=price)

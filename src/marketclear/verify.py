@@ -36,8 +36,6 @@ from .supply import best_response, profit
 
 log = logging.getLogger("marketclear.verify")
 
-SUITES = ("gradient", "duality", "smoothness", "montecarlo", "correlation", "bounds")
-
 FD_RTOL = 1e-6
 SMOOTHNESS_PAIRS = 10_000  # random point pairs per smoothness audit
 FENCHEL_TOL = 1e-9
@@ -280,6 +278,7 @@ _SUITE_FNS = {
     "correlation": suite_correlation,
     "bounds": suite_bounds,
 }
+SUITES = tuple(_SUITE_FNS)  # the canonical order of run_suites
 
 
 def run_suites(names, market: Market, samples: int, seed: int) -> list[CheckResult]:

@@ -151,6 +151,16 @@ class TestSolve:
             assert r.returncode == 1
             assert r.stderr == f"error: p0[0]: {message}\n"  # and no warning
 
+    def test_p0_that_is_not_json(self, tmp_path):
+        # the spec reader's JSON reader, the error at the option's name
+        p0 = tmp_path / "p0.json"
+        for content in (b"not json", b"\xff\xfe"):
+            p0.write_bytes(content)
+            r = run_cli("solve", "--market", SINGLE_GOOD, "--p0", str(p0))
+            assert r.returncode == 1
+            assert r.stderr.startswith("error: p0: invalid JSON: ")
+            assert r.stderr.count("\n") == 1
+
     def test_summary_is_the_last_trace_row(self, tmp_path):
         trace_path = tmp_path / "run.csv"
         r = run_cli("solve", "--market", MARKET_N6, "--trace", str(trace_path))

@@ -171,7 +171,7 @@ class TestFieldRules:
         with pytest.raises(specio.SpecError) as err:
             specio.market_from_document(doc)
         assert err.value.code == code
-        assert err.value.path == json_path(keys)
+        assert err.value.field == json_path(keys)
         if isinstance(value, (str, bool)):
             assert str(err.value) == (f"{json_path(keys)}: expected a number, "
                                       f"got {type(value).__name__} [malformed]")
@@ -182,14 +182,14 @@ class TestFieldRules:
         with pytest.raises(specio.SpecError, match="index 7 outside 1..6") as err:
             specio.market_from_document(doc)
         assert err.value.code == specio.CODE_PARTITION
-        assert err.value.path == "$.consumers[0].nests[2]"
+        assert err.value.field == "$.consumers[0].nests[2]"
 
     def test_empty_supplier_list(self):
         doc = market_n6()
         doc["suppliers"] = []
         with pytest.raises(specio.SpecError) as err:
             specio.market_from_document(doc)
-        assert (err.value.code, err.value.path) == (specio.CODE_MALFORMED, "$.suppliers")
+        assert (err.value.code, err.value.field) == (specio.CODE_MALFORMED, "$.suppliers")
 
     @given(st.sampled_from(list(float_leaves(market_n6()))), st.sampled_from(MUTATIONS))
     @settings(max_examples=300, deadline=None)
@@ -207,7 +207,7 @@ class TestFieldRules:
                 return
             except specio.SpecError as err:
                 assert err.code in CODES
-                assert err.path == json_path(keys)
+                assert err.field == json_path(keys)
                 return
             assert math.isfinite(m.ter(trace.price))
             assert np.all(np.isfinite(trace.price))
@@ -379,7 +379,7 @@ class TestTraceFiles:
         specio.write_trace(trace, str(path))
         with pytest.raises(specio.SpecError) as err:
             specio.read_trace(str(path))
-        assert (err.value.code, err.value.path) == (specio.CODE_MALFORMED, str(path))
+        assert (err.value.code, err.value.field) == (specio.CODE_MALFORMED, str(path))
         assert str(err.value).endswith("row 1, column ter is not finite: inf [malformed]")
         trace = self._trace()
         trace.price[2], trace.steps[3] = np.nan, -np.inf
@@ -412,7 +412,7 @@ class TestTraceFiles:
         path = self._cut_basic_trace(tmp_path, n6_runs, cut)
         with pytest.raises(specio.SpecError) as err:
             specio.read_trace(str(path))
-        assert (err.value.code, err.value.path) == (specio.CODE_MALFORMED, str(path))
+        assert (err.value.code, err.value.field) == (specio.CODE_MALFORMED, str(path))
         assert str(err.value) == f"{path}: {message} [malformed]"
 
     def test_rate_refuses_a_head_cut_trace(self, tmp_path, n6_runs, capsys):
@@ -435,3 +435,54 @@ class TestTraceFiles:
         path.write_text(specio.TRACE_HEADER + "\n1,0,0,0,0,0.1\n")
         with pytest.raises(ValueError, match="footer"):
             specio.read_trace(str(path))
+
+
+class TestErrorShape:
+    """Every SpecError is built like the other input errors: `.field` is the
+    path it prints, `.message` the bare message, and only the printed text
+    adds the code, as `<field>: <message> [<code>]`."""
+
+    BAD_TRACES = [
+        "time,value\n1,2\n",  # foreign header
+        f"{specio.TRACE_HEADER}\n1,0,0,0,0,0.1\n",  # no footer
+        *(f"{specio.TRACE_HEADER}\n{row}\n# price = [1.5]\n" for row in (
+            "1,0,0,0,0", "1,0,0,0,0,0.1,0", "1.5,0,0,0,0,0.1", "1,0,x,0,0,0.1",
+            "1,0,0,0,0,0.1 # a note", "1,inf,0,0,0,0.1", "2,0,0,0,0,0.1")),
+        f"{specio.TRACE_HEADER}\n1,0,0,0,0,0.1\n# price\n",
+        f"{specio.TRACE_HEADER}\n1,0,0,0,0,0.1\n# price = [1.5, nan]\n",
+    ]
+
+    def _errors(self, tmp_path, doc):
+        """The SpecErrors of the bad documents, trace files and spec files
+        this module builds."""
+        bad_docs = [42, {}, {"n": 2.0}, {"n": 0, "consumers": [], "suppliers": []},
+                    {"n": 2, "consumers": [], "suppliers": doc["suppliers"]}]
+        for keys in float_leaves(market_n6()):
+            for value in MUTATIONS:
+                bad_docs.append(market_n6())
+                set_leaf(bad_docs[-1], keys, value)
+        for bad in bad_docs:
+            try:
+                specio.market_from_document(bad)
+            except specio.SpecError as err:
+                yield err
+        path = tmp_path / "bad"
+        for reader, contents in [(specio.read_trace, self.BAD_TRACES + [b"\xff\xfe"]),
+                                 (specio.load_market, ["{not json", b"\xff\xfe"])]:
+            for content in contents:
+                if isinstance(content, bytes):
+                    path.write_bytes(content)
+                else:
+                    path.write_text(content)
+                with pytest.raises(specio.SpecError) as err:
+                    reader(str(path))
+                yield err.value
+
+    def test_field_message_and_code(self, tmp_path, doc):
+        errors = list(self._errors(tmp_path, doc))
+        assert len(errors) > 400
+        for err in errors:
+            assert str(err) == f"{err.field}: {err.message} [{err.code}]"
+            assert err.code in CODES
+            assert err.field.startswith("$") or err.field == str(tmp_path / "bad")
+            assert not err.message.startswith(err.field)
