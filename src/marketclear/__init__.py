@@ -39,6 +39,7 @@ from .solvers import (
     gamma_next,
     reference_solve,
     solve,
+    solve_many,
 )
 from .supply import Supplier, best_response, profit, total_cost
 
@@ -73,6 +74,7 @@ __all__ = [
     "gamma_next",
     "reference_solve",
     "solve",
+    "solve_many",
     "Supplier",
     "best_response",
     "profit",

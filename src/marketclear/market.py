@@ -54,6 +54,22 @@ and compute only their own half.
 The public methods check their prices (`check_array`) and call
 `_FlatMarket.evaluate`; the solvers check their start prices once and
 then call the kernel and the evaluator directly, without that check.
+The layout is built from a list of markets; `Market` builds its own
+from `[self]`, and the lockstep solver (`solvers.solve_many`) one from
+the markets of all its runs. Such a stacked layout concatenates the
+consumer segments and types, each market's goods offset by the goods
+before it, and pads the supplier arrays to (K_max, sum n): after each
+market's own suppliers come rows with lo = hi = 0, whose clipped
+response is an exact zero at any price but NaN. One price vector of the
+stacked markets then gives each market's z with the bits of its own
+point call: every nest, type and per-good sum runs over the same
+elements in the same order, a maximum is exact, and a padded row adds
+zero at the end of a column sum. The one exception, a one-good market,
+whose (K, 1) supplies numpy sums as one 1-D (pairwise) reduction, is
+summed the same way in the stack (`lone`). A stacked layout serves
+single price vectors only: the block branch's demand gather needs every
+consumer type to hold every good.
+
 `clearing_residuals` computes the natural-map residual, min z and
 <p, z> of one price vector or of each row of a block, for
 `Market.equilibrium_residual` and the solver records alike. The public
@@ -63,6 +79,7 @@ serve as the independent oracle this layout is tested against.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -175,7 +192,7 @@ class Market:
                 f"consumer type dimension differs from the market's {self.n}")
         require([s.n == self.n for s in self.suppliers], CODE_MALFORMED, "suppliers",
                 f"supplier dimension differs from the market's {self.n}")
-        object.__setattr__(self, "_flat", _FlatMarket(self))
+        object.__setattr__(self, "_flat", _FlatMarket([self]))
 
     @property
     def total_population(self) -> float:
@@ -242,46 +259,70 @@ class _FlatMarket:
     data, with a trailing axis that broadcasts over evaluation points.
     """
 
-    def __init__(self, market: Market):
-        n = self.n = market.n
-        goods, seg_len, seg_mu = [], [], []
-        type_start, type_of = [], []
-        for j, ct in enumerate(market.consumers):
-            type_start.append(len(seg_len))
-            for nest, mu in zip(ct.nests.nests, ct.nests.mu):
-                goods.extend(nest)
-                seg_len.append(len(nest))
-                seg_mu.append(mu)
-                type_of.append(j)
-        self.goods = np.array(goods, dtype=np.intp)
+    def __init__(self, markets: Sequence[Market]):
+        sizes = [m.n for m in markets]
+        g0s = np.cumsum([0, *sizes[:-1]]).tolist()  # first good of each market
+        n = self.n = sum(sizes)
+        goods, a, count, seg_len, seg_mu, type_len = [], [], [], [], [], []
+        for m, g0 in zip(markets, g0s):
+            for ct in m.consumers:
+                order = np.concatenate(ct.nests._idx)  # the type's goods, nest by nest
+                goods.append(order + g0)
+                a.append(ct.a[order])
+                count.append(ct.count)
+                seg_len.extend(map(len, ct.nests.nests))
+                seg_mu.extend(ct.nests.mu)
+                type_len.append(ct.nests.n_nests)
+        self.goods = np.concatenate(goods)
         seg_len = np.array(seg_len, dtype=np.intp)
-        self.n_types = len(market.consumers)
+        self.n_types = len(count)
         self.seg_start = np.concatenate(([0], np.cumsum(seg_len)[:-1]))
         self.seg_of = np.repeat(np.arange(len(seg_len)), seg_len)
-        self.type_start = np.array(type_start, dtype=np.intp)
-        self.type_of = np.array(type_of, dtype=np.intp)
+        self.type_start = np.concatenate(([0], np.cumsum(type_len)[:-1])).astype(np.intp)
+        self.type_of = np.repeat(np.arange(self.n_types), type_len)
         self.seg_slices = _slices(self.seg_start, len(self.goods))
         self.type_slices = _slices(self.type_start, len(seg_len))
-        self.count = np.array([ct.count for ct in market.consumers])
-        # element of (type j, good i) at position j * n + i
-        owner = np.repeat(np.arange(self.n_types), n)  # type of each element
-        self.inverse = np.argsort(owner * n + self.goods, kind="stable")
+        self.count = np.array(count)
+        # a block sums demand per good through this gather of the elements
+        # in (type, good) order, so one market's types each hold every good
+        self.inverse = None
+        if len(markets) == 1:
+            owner = np.repeat(np.arange(self.n_types), n)  # type of each element
+            self.inverse = np.argsort(owner * n + self.goods, kind="stable")
+        # numpy sums a one-good market's (K, 1) supplies as one 1-D
+        # reduction, pairwise from K = 8 on, not row by row; in a stack,
+        # such a market's column is summed the same way
+        self.lone = ([(g0, len(m.suppliers)) for m, g0 in zip(markets, g0s) if m.n == 1]
+                     if len(markets) > 1 else [])
+
+        k_max = max(len(m.suppliers) for m in markets)
+
+        def supply(f, pad: float = 0.0) -> np.ndarray:
+            """f of each supplier, (k_max, n): a market's rows, then padding."""
+            out = np.full((k_max, n), pad)
+            for m, g0 in zip(markets, g0s):
+                out[:len(m.suppliers), g0:g0 + m.n] = [f(s) for s in m.suppliers]
+            return out
 
         seg_mu = np.array(seg_mu)
-        sup = market.suppliers
+        # a gamma constant along each row, as in one market's layout, is
+        # kept as one column: block TER broadcasts it faster
+        gamma = supply(lambda s: np.full(s.n, s.gamma))
         floats = {
             "seg_mu": seg_mu,
             "inv_mu": (1.0 / seg_mu)[self.seg_of],
-            "a": np.array([market.consumers[j].a[i] for j, i in zip(owner, self.goods)]),
+            "a": np.concatenate(a),
             "seg_count": self.count[self.type_of],
-            "offset": np.array([2.0 * s.gamma * s.y_nat - s.c for s in sup]),
-            "inv_slope": np.array([1.0 / (s.d + 2.0 * s.gamma) for s in sup]),
-            "lo": np.array([s.lo for s in sup]),
-            "hi": np.array([s.hi for s in sup]),
-            "c": np.array([s.c for s in sup]),
-            "half_d": np.array([0.5 * s.d for s in sup]),
-            "y_nat": np.array([s.y_nat for s in sup]),
-            "gamma": np.array([s.gamma for s in sup])[:, None],
+            # a padded row clips y = x onto [0, 0]: y = 0 at any price but
+            # NaN, and zero profit at any finite price
+            "offset": supply(lambda s: 2.0 * s.gamma * s.y_nat - s.c),
+            "inv_slope": supply(lambda s: 1.0 / (s.d + 2.0 * s.gamma), 1.0),
+            "lo": supply(lambda s: s.lo),
+            "hi": supply(lambda s: s.hi),
+            "c": supply(lambda s: s.c),
+            "half_d": supply(lambda s: 0.5 * s.d),
+            "y_nat": supply(lambda s: s.y_nat),
+            "gamma": gamma[:, :1] if (gamma == gamma[:, :1]).all() else gamma,
         }
         self.__dict__.update(floats)
         self.col = SimpleNamespace(**{k: v[..., None] for k, v in floats.items()})
@@ -364,7 +405,10 @@ class _FlatMarket:
             else:
                 demand = w.take(self.inverse, axis=0).reshape(
                     self.n_types, -1, x.shape[1]).sum(axis=0)
-            z = np.subtract(np.add.reduce(y, 0), demand, out=demand)
+            supply = np.add.reduce(y, 0)
+            for i, k in self.lone:  # a stack's one-good markets
+                supply[i] = np.add.reduce(y[:k, i])
+            z = np.subtract(supply, demand, out=demand)
         return ter, z
 
 

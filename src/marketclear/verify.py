@@ -31,7 +31,8 @@ from .nested_logit import (
     surplus,
 )
 from .rules import ConfigError, integer
-from .solvers import FD_STEP, REFERENCE_TOL, SolverConfig, fd_gradient, reference_solve, solve
+from .solvers import (FD_STEP, REFERENCE_TOL, SolverConfig, fd_gradient, reference_solve,
+                      solve_many)
 from .supply import best_response, profit
 
 log = logging.getLogger("marketclear.verify")
@@ -242,15 +243,17 @@ def suite_bounds(market: Market, samples: int, seed: int) -> list[CheckResult]:
     """Solver convergence bounds against a high-accuracy reference solve.
 
     The reference is checked first: a reference solve that stopped short
-    of REFERENCE_TOL fails here instead of silently moving TER*.
+    of REFERENCE_TOL fails here instead of silently moving TER*. Both
+    schemes run in lockstep (`solve_many`), bit for bit as alone.
     """
     ref = reference_solve(market)
     results = [_check("bounds", "reference residual",
                       market.equilibrium_residual(ref.price).grad_norm, REFERENCE_TOL)]
     ter_star = market.ter(ref.price)
     dist2 = float(np.dot(ref.price, ref.price))  # runs start from p0 = 0
-    for scheme in ("basic", "accelerated"):
-        trace = solve(market, SolverConfig(scheme=scheme))
+    schemes = ("basic", "accelerated")
+    traces = solve_many([(market, SolverConfig(scheme=scheme)) for scheme in schemes])
+    for scheme, trace in zip(schemes, traces):
         h = trace.step
         t = trace.iters
         gap = trace.ter - ter_star

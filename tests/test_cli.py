@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 
@@ -15,6 +17,24 @@ MARKET_N6 = str(SPEC_DIR / "market_n6.json")
 
 
 def run_cli(*args, env=None):
+    """`marketclear args` as a CompletedProcess: `cli.main` in this process,
+    with argparse's exit mapped to its return code, or, when a test
+    passes `env`, `python -m marketclear` in a subprocess. Logging binds
+    the first stderr it is given, so a test that reads log lines passes
+    env. `test_same_outcome_in_process_and_as_a_module` keeps the two
+    ways equal."""
+    if env is not None:
+        return run_module(*args, env=env)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            returncode = cli.main(list(args))
+        except SystemExit as exc:
+            returncode = 0 if exc.code is None else exc.code
+    return subprocess.CompletedProcess(args, returncode, out.getvalue(), err.getvalue())
+
+
+def run_module(*args, env=None):
     return subprocess.run(
         [PYTHON, "-m", "marketclear", *args],
         capture_output=True, text=True, env=env,
@@ -321,6 +341,30 @@ class TestLogging:
         r = run_cli("solve", "--market", SINGLE_GOOD, env=env)
         assert r.returncode == 0
         assert "solve" in r.stderr
+
+
+def test_same_outcome_in_process_and_as_a_module(tmp_path):
+    # every command, exit codes 0, 1 and 2, and an argparse usage error
+    trace = str(tmp_path / "trace.csv")
+    argvs = [
+        ("gen", "--n", "3", "--consumers", "1", "--suppliers", "1", "--seed", "2"),
+        ("solve", "--market", MARKET_N6, "--scheme", "accelerated", "--trace", trace),
+        ("solve", "--market", SINGLE_GOOD, "--max-iters", "3"),
+        ("solve", "--market", "no_such_file.json"),
+        ("solve", "--market", SINGLE_GOOD, "--scheme", "newton"),
+        ("verify", "--market", SINGLE_GOOD, "--suite", "gradient"),
+        ("verify", "--market", SINGLE_GOOD, "--suite", "nonsense"),
+        ("rate", "--trace", trace, "--ter-star", "-100"),
+        ("rate", "--trace", "nope.csv", "--ter-star", "0.0"),
+    ]
+    codes = set()
+    for argv in argvs:
+        here, there = run_cli(*argv), run_module(*argv)
+        assert (here.returncode, here.stdout, here.stderr) == (
+            there.returncode, there.stdout, there.stderr), argv
+        codes.add(here.returncode)
+    assert codes == {0, 1, 2}
+    assert run_cli(*argvs[4]).stderr.startswith("usage: marketclear solve")
 
 
 def test_import_does_not_load_scipy():

@@ -8,7 +8,7 @@ import re
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import marketclear as mc
 from marketclear import solvers, specio
@@ -596,6 +596,136 @@ def _assert_matches_plain_loop(market: mc.Market, config: SolverConfig) -> Trace
     return trace
 
 
+RUN_FIELDS = ("ter", "grad_norm", "min_excess", "complementarity", "steps", "price")
+
+
+def _assert_same_run(got, want):
+    """A lockstep run's outcome against its single run: the same trace
+    columns, price and counts, or a DivergedError of the same iteration."""
+    if isinstance(want, DivergedError):
+        assert isinstance(got, DivergedError)
+        assert (str(got), got.iteration) == (str(want), want.iteration)
+        return
+    for field in RUN_FIELDS:
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+    assert ((got.iterations, got.oracle_evals, got.blocks, got.stop, got.step)
+            == (want.iterations, want.oracle_evals, want.blocks, want.stop, want.step))
+
+
+def _single(market, config):
+    try:
+        return solve(market, config)
+    except DivergedError as exc:
+        return exc
+
+
+def _ter_overflow_market():
+    """market_n6 with one supplier's y_nat[0] = 1e200, past the magnitude
+    rule of market data: z stays finite, and TER is -inf at every price."""
+    m = specio.load_market(SPEC_DIR / "market_n6.json")
+    s = dataclasses.replace(m.suppliers[0])
+    y_nat = s.y_nat.copy()
+    y_nat[0] = 1e200
+    object.__setattr__(s, "y_nat", y_nat)
+    return mc.Market(m.n, m.consumers, (s, *m.suppliers[1:]))
+
+
+class TestSolveMany:
+    def test_lockstep_runs_equal_single_runs(self):
+        # the 20 batch markets under both schemes, and both shipped specs,
+        # in one call
+        markets = [specio.market_from_document(specio.batch_market(seed))
+                   for seed in range(20)]
+        markets += [specio.load_market(SPEC_DIR / name)
+                    for name in ("market_n6.json", "single_good.json")]
+        runs = [(m, SolverConfig(scheme=scheme)) for m in markets for scheme in solvers.SCHEMES]
+        for (m, config), got in zip(runs, solvers.solve_many(runs), strict=True):
+            _assert_same_run(got, solve(m, config))
+
+    def test_mixed_runs(self):
+        # markets of different n, J and K (one good with nine suppliers
+        # among them, whose supplies numpy sums pairwise), different tol, max_iters and step, a start that
+        # stalls and a TER that overflows at iteration 1
+        n6 = specio.load_market(SPEC_DIR / "market_n6.json")
+        lone = specio.market_from_document(specio.generate_market(1, 2, 9, seed=3))
+        wide = specio.market_from_document(specio.generate_market(9, 3, 1, seed=5))
+        small = specio.market_from_document(specio.generate_market(4, 1, 3, seed=8))
+        runs = [
+            (n6, SolverConfig(scheme="basic")),
+            (lone, SolverConfig(scheme="accelerated")),
+            (wide, SolverConfig(scheme="basic", tol=1e-4, max_iters=100)),
+            (small, SolverConfig(scheme="accelerated", tol=1e-3,
+                                 step=0.5 / small.smoothness_constant(), max_iters=1000)),
+            (n6, SolverConfig(scheme="accelerated", p0=np.full(6, 1e18))),
+            (_ter_overflow_market(), SolverConfig(scheme="accelerated")),
+            (n6, SolverConfig(scheme="accelerated", max_iters=3)),
+        ]
+        with np.errstate(over="ignore"):
+            with pytest.raises(DivergedError) as err:
+                solvers.solve_many(runs)
+            singles = [_single(m, config) for m, config in runs]
+        assert err.value is err.value.results[5]
+        for got, want in zip(err.value.results, singles, strict=True):
+            _assert_same_run(got, want)
+        stops = [getattr(r, "stop", None) for r in singles]
+        assert stops == ["tol", "tol", "max_iters", "tol", "stalled", None, "max_iters"]
+        assert (singles[5].iteration, str(singles[5])) == (
+            1, "non-finite potential value (TER) at iteration 1")
+
+    def test_non_finite_iterates_stop_only_their_runs(self, monkeypatch):
+        # the stacked kernel's z is -inf on run 0's goods at iteration 100
+        # and on run 2's at iteration 70: each of them ends there, the
+        # others run to their own ends, and run 0's error is raised
+        from marketclear.market import _FlatMarket
+
+        n6 = specio.load_market(SPEC_DIR / "market_n6.json")
+        other = small_market(2)
+        runs = [(n6, SolverConfig(scheme="basic", tol=0.0, max_iters=300)),
+                (other, SolverConfig(scheme="accelerated", tol=0.0, max_iters=300)),
+                (n6, SolverConfig(scheme="accelerated", tol=0.0, max_iters=300)),
+                (other, SolverConfig(scheme="basic"))]
+        singles = [solve(m, config) for m, config in runs]
+        kernel, calls = _FlatMarket.kernel, []
+        fail = {100: slice(0, 6), 70: slice(6 + other.n, 12 + other.n)}
+
+        def failing(self, x, value, grad):
+            t, z = kernel(self, x, value, grad)
+            if x.ndim == 1 and self.n == 12 + 2 * other.n:  # the stack of all four
+                calls.append(1)
+                if len(calls) in fail:
+                    z[fail[len(calls)]] = -np.inf
+            return t, z
+
+        monkeypatch.setattr(_FlatMarket, "kernel", failing)
+        with pytest.raises(DivergedError) as err:
+            solvers.solve_many(runs)
+        results = err.value.results
+        assert err.value is results[0]
+        assert [(str(results[i]), results[i].iteration) for i in (0, 2)] == [
+            ("non-finite iterate at iteration 100", 100), ("non-finite iterate at iteration 70", 70)]
+        for i in (1, 3):
+            _assert_same_run(results[i], singles[i])
+
+    def test_debug_lines_report_every_block(self, caplog):
+        n6 = specio.load_market(SPEC_DIR / "market_n6.json")
+        runs = [(n6, SolverConfig(scheme=scheme)) for scheme in solvers.SCHEMES]
+        with caplog.at_level(logging.INFO, logger="marketclear.solvers"):
+            solvers.solve_many(runs)
+        assert not [r for r in caplog.records if r.levelno == logging.DEBUG]
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="marketclear.solvers"):
+            traces = solvers.solve_many(runs)
+        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert len(lines) == sum(t.blocks for t in traces)
+        for t in traces:
+            mine = [line for line in lines if f" scheme={t.scheme} " in line]
+            assert len(mine) == t.blocks
+            assert mine[-1] == (f"solve block: scheme={t.scheme} iter={t.iterations} "
+                                f"residual={t.grad_norm[-1]:.3e} ter={t.ter[-1]:.17g} "
+                                f"step={t.step:g}")
+            assert mine[0].split(" iter=")[1].startswith("64 ")
+
+
 class TestConvergenceBounds:
     @pytest.mark.parametrize("seed", [4, 5])
     def test_gap_bounds_both_schemes(self, seed):
@@ -789,6 +919,32 @@ class TestReferenceSolve:
         ref = reference_solve(m)
         assert ref.converged
         assert ref.min_excess[-1] >= -1e-9
+        ter_ref = m.ter(ref.price)
+        ter_accel = m.ter(solve(m, SolverConfig(scheme="accelerated")).price)
+        assert ter_ref <= ter_accel + 1e-12 * max(1.0, abs(ter_accel))
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 8), j=st.integers(1, 3), k=st.integers(1, 3),
+           seed=st.integers(0, 10_000), flat_cost=st.booleans())
+    @example(n=6, j=2, k=2, seed=9, flat_cost=False)
+    @example(n=6, j=2, k=2, seed=2, flat_cost=True)
+    @example(n=5, j=1, k=2, seed=7177, flat_cost=True)
+    @example(n=5, j=1, k=1, seed=7207, flat_cost=False)
+    def test_no_worse_than_the_accelerated_scheme_on_steep_supply(self, n, j, k, seed,
+                                                                  flat_cost):
+        # each supplier's gamma times 10^U(-3, 0), and with flat_cost no
+        # quadratic base cost (d = 0): a residual-halving step that raised
+        # TER let the reference alternate between two points (seeds 9 and
+        # 2), and an optimum where a steep supply meets its box left the
+        # differenced Newton step crawling (seeds 7177 and 7207)
+        m = specio.market_from_document(specio.generate_market(n, j, k, seed=seed))
+        rng = np.random.default_rng(seed)
+        m = mc.Market(n, m.consumers, tuple(
+            dataclasses.replace(s, gamma=s.gamma * 10 ** rng.uniform(-3, 0),
+                                d=np.zeros(n) if flat_cost else s.d)
+            for s in m.suppliers))
+        ref = reference_solve(m)
+        assert ref.converged
         ter_ref = m.ter(ref.price)
         ter_accel = m.ter(solve(m, SolverConfig(scheme="accelerated")).price)
         assert ter_ref <= ter_accel + 1e-12 * max(1.0, abs(ter_accel))
