@@ -66,9 +66,9 @@ point call: every nest, type and per-good sum runs over the same
 elements in the same order, a maximum is exact, and a padded row adds
 zero at the end of a column sum. The one exception, a one-good market,
 whose (K, 1) supplies numpy sums as one 1-D (pairwise) reduction, is
-summed the same way in the stack (`lone`). A stacked layout serves
-single price vectors only: the block branch's demand gather needs every
-consumer type to hold every good.
+summed the same way in each row of a block and in the stack (`lone`).
+A stacked layout serves single price vectors only: the block branch's
+demand gather needs every consumer type to hold every good.
 
 `clearing_residuals` computes the natural-map residual, min z and
 <p, z> of one price vector or of each row of a block, for
@@ -405,7 +405,10 @@ class _FlatMarket:
             else:
                 demand = w.take(self.inverse, axis=0).reshape(
                     self.n_types, -1, x.shape[1]).sum(axis=0)
-            supply = np.add.reduce(y, 0)
+            if point or self.n > 1:
+                supply = np.add.reduce(y, 0)
+            else:  # one good: each row's supplies summed as the point call sums them
+                supply = np.ascontiguousarray(y[:, 0].T).sum(axis=1)[None]
             for i, k in self.lone:  # a stack's one-good markets
                 supply[i] = np.add.reduce(y[:k, i])
             z = np.subtract(supply, demand, out=demand)

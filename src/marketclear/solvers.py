@@ -58,13 +58,13 @@ would contaminate rate diagnostics.
 The audits of these schemes need the optimum TER* from a solver that
 runs neither of them. `reference_solve` is a damped projected
 Newton method (Bertsekas 1982) on the box p >= 0. Each iteration takes
-the Hessian of the potential as `fd_gradient` of the analytic excess
+the Hessian H of the potential as `fd_gradient` of the analytic excess
 supply (central differences with step FD_STEP = 1e-5, one batched
 oracle call on 2n shifted rows), splits the goods into an
 epsilon-active set {p_i <= min(1e-3, r), z_i > 0} and a free set,
 where r is the natural-map residual, and moves along
 
-    p(a) = [p + a d]_+,   d_free = -(H_free + lam I)^{-1} z_free,
+    p(a) = [p + a d]_+,   d_free = the minimiser of the model m below,
                           d_active = -z_active / (diag H + lam)_active,
 
 with the Levenberg term lam = min(r, 1e-2): the consumer Hessian is
@@ -96,24 +96,35 @@ where Armijo's decrease is itself below the allowance.
 
 A supplier's response y_i is linear in p_i between the kinks where it
 meets lo_i and hi_i, with slope 1 / (d_i + 2 gamma); a small gamma makes
-that slope steep. Where a central difference straddles such a kink, the
-differenced Hessian averages the two pieces' slopes, and near an optimum
-at the kink the plain step then crawls or overshoots it. There the
-search first takes the minimiser of the Newton model with the suppliers'
-piecewise-linear responses in place of their differenced slopes,
+that slope steep, and where a central difference straddles a kink the
+differenced Hessian averages the two pieces' slopes. So the free goods'
+Newton model keeps the suppliers' piecewise-linear responses in place
+of their differenced slopes,
 
     m(d) = d^T (H_c + lam I) d / 2 + z^T d + sum_k int_0^d (y_k(p + s) - y_k(p)) ds,
 
-H_c the differenced Hessian less the suppliers' differenced slopes,
-found by Newton steps on m with the slopes of the pieces each point
-lies in (one element of the generalized Jacobian; Qi and Sun 1993) and
-Armijo backtracking on m; and if no step along it is acceptable, the
-plain step. Away from kinks the plain step is the only one searched.
-On 6,000 markets generate_market(n <= 8, J <= 3, K <= 3) with each
-gamma scaled by 10^U(-3, 0) and, in half of them, d = 0, every
-reference converged within 36 Newton steps. Without the model step,
-hypothesis runs of that property (25 markets each) failed in 2 of 120
-runs, at 100 Newton steps or with no acceptable step.
+H_c the free goods' differenced Hessian less the suppliers' differenced
+slopes, and y_k the response as the kernel computes it from the
+market's flat layout. m is convex, and d_free is its minimiser, found
+by Newton steps on m with the slopes of the pieces each point lies in
+(one element of the generalized Jacobian; Qi and Sun 1993). Each step
+is halved until the slope of m along it is <= 0 at its end; m is
+convex along the step, so it fell, and no value of m, whose terms
+cancel, is ever compared. A full step that keeps every response on
+its piece ends at the minimiser and is the last. Away from kinks the
+first step does so, and it is the plain Newton step
+-(H + lam I)^{-1} z up to the rounding of the differenced slopes.
+
+On the 20 batch markets the reference converges in 155 Newton steps
+in all, each finding its minimiser in 1.4 model steps on average. On
+200 markets generate_market(6, 2, 2, seed) whose gammas are scaled by
+10^U(-3, 0), every reference converged, within 10 Newton steps, and on
+10,000 markets generate_market(n <= 8, J <= 3, K <= 3) so scaled, half
+of them with d = 0, within 17. With gamma scaled by 10^U(-8, -3) and
+d = 0 (1,000 markets), doubles 2 u |p_i| apart (u = 2^-53) leave z_i
+up to about B = u max(1, ||p||_inf) sum_k max_i 1 / (d_ki + 2 gamma_k)
+from zero at every price, and every run converged or stopped with
+"no_step" at a residual of at most 1.2 B, within 21 Newton steps.
 """
 
 from __future__ import annotations
@@ -428,7 +439,7 @@ class _Run:
 
 def solve_many(runs: Sequence[tuple[Market, SolverConfig | None]]) -> list[Trace]:
     """`solve` of each (market, config) run, all of them in lockstep:
-    their traces, in the order given.
+    their traces, in the order given (none for no runs).
 
     The runs' markets, each a separable problem in its own goods, are
     priced as one stacked market (`_FlatMarket` of all of them), so one
@@ -455,6 +466,8 @@ def solve_many(runs: Sequence[tuple[Market, SolverConfig | None]]) -> list[Trace
     start = time.perf_counter()
     debug = log.isEnabledFor(logging.DEBUG)
     states = [_Run(market, config) for market, config in runs]
+    if not states:
+        return []
     active = states
     momentum = (_nesterov_momentum() if any(r.config.scheme == "accelerated" for r in active)
                 else itertools.repeat(0.0))
@@ -528,60 +541,46 @@ def _fd_hessian(market: Market, p: np.ndarray) -> np.ndarray:
     return 0.5 * (jac + jac.T)
 
 
-def _newton_steps(supply_lines: tuple[np.ndarray, ...], p: np.ndarray, z: np.ndarray,
-                  hess: np.ndarray, lam: float, free: np.ndarray) -> list[np.ndarray]:
-    """The free goods' Newton steps to search along, in turn: d = -(H +
-    lam I)^{-1} z, and before it, where a central difference of a
-    supplier's response straddles a kink of its box, the minimiser of
-    the Newton model with piecewise-linear supply (module docstring).
-    supply_lines holds (K, n) arrays: each supplier's slope 1 / (d + 2
-    gamma) and intercept, so its stationary response is p slope +
-    intercept, and its box lo, hi."""
-    h = hess[np.ix_(free, free)] + lam * np.eye(int(free.sum()))
-    g = z[free]
-    plain = -np.linalg.solve(h, g)
-    slope, intercept, lo, hi = (a[:, free] for a in supply_lines)
-    base = p[free] * slope + intercept
-    below, above = base - slope * FD_STEP, base + slope * FD_STEP
-    if not np.any(((below < lo) & (lo < above)) | ((below < hi) & (hi < above))):
-        return [plain]
+def _newton_step(market: Market, p: np.ndarray, z: np.ndarray, hess: np.ndarray, lam: float,
+                 free: np.ndarray) -> np.ndarray:
+    """The free goods' Newton step: the minimiser of the Newton model with
+    the suppliers' piecewise-linear responses (module docstring), found
+    by Newton steps on the model, each halved until the model's slope
+    along it is <= 0 at its end. A full step that keeps every response
+    on its piece ends at the model's minimiser, and is the last."""
+    flat = market._flat
+    offset, inv_slope, lo, hi = (a[:, free] for a in (flat.offset, flat.inv_slope, flat.lo,
+                                                       flat.hi))
+    q = p[free]
 
-    def supply(d):
-        return np.clip(base + slope * d, lo, hi).sum(axis=0)
+    def responses(d):  # each supplier's response at p + d, as the kernel computes it
+        return np.clip((q + d + offset) * inv_slope, lo, hi)
 
-    def inside(d):
-        y = base + slope * d
-        return (lo < y) & (y < hi)
+    def pieces(y):  # 0 at or below lo, 1 inside, 2 at or above hi
+        return np.where(y >= hi, 2, y > lo)
 
-    def integral(y):  # of clip(y, lo, hi) dy: y c - c^2 / 2 with c = clip(y)
-        c = np.clip(y, lo, hi)
-        return y * c - 0.5 * c * c
-
-    # the consumers' part of H, and lam: less the suppliers' differenced slopes
-    hc = h - np.diag((supply(FD_STEP) - supply(-FD_STEP)) / (2.0 * FD_STEP))
-    y0 = np.clip(base, lo, hi)
-
-    def model(d):  # its gradient is g + hc d + supply(d) - supply(0)
-        return (0.5 * d @ hc @ d + g @ d
-                + np.sum((integral(base + slope * d) - integral(base)) / slope - y0 * d))
-
-    d, value = np.zeros_like(g), 0.0
+    # the consumers' part of H + lam I: less the suppliers' differenced slopes
+    hc = hess[np.ix_(free, free)] + lam * np.eye(q.size) - np.diag(
+        (responses(FD_STEP).sum(axis=0) - responses(-FD_STEP).sum(axis=0)) / (2.0 * FD_STEP))
+    y = responses(0.0)
+    g = z[free] - y.sum(axis=0)  # the model's gradient at d is g + hc d + sum_k y_k(p + d)
+    d, grad = np.zeros_like(q), z[free]
     for _ in range(_MAX_PIECES):
-        grad = g + hc @ d + supply(d) - y0.sum(axis=0)
-        pieces = inside(d)
-        step = -np.linalg.solve(hc + np.diag(np.where(pieces, slope, 0.0).sum(axis=0)), grad)
+        piece = pieces(y)
+        step = -np.linalg.solve(hc + np.diag((inv_slope * (piece == 1)).sum(axis=0)), grad)
         t = 1.0
         for _ in range(_MAX_HALVINGS):
-            if model(d + t * step) <= value + _ARMIJO_SIGMA * t * (grad @ step):
+            y = responses(d + t * step)
+            if t == 1.0 and np.array_equal(pieces(y), piece):
+                return d + step  # m is quadratic along it: d + step is its minimiser
+            grad = g + hc @ (d + t * step) + y.sum(axis=0)
+            if grad @ step <= 0.0:  # m is convex: it fell along the step
                 break
             t *= 0.5
         else:
-            break  # no decrease of the model along the step
+            break
         d = d + t * step
-        value = model(d)
-        if t == 1.0 and np.array_equal(pieces, inside(d)):
-            break  # d minimises the model on the pieces it lies in
-    return [d, plain] if np.any(d) else [plain]
+    return d
 
 
 def reference_solve(market: Market, p0: np.ndarray | None = None) -> Trace:
@@ -603,10 +602,6 @@ def reference_solve(market: Market, p0: np.ndarray | None = None) -> Trace:
     r = clearing_residuals(p, z)[0]
     evals, hessians = 1, 0
     stop = "max_iters"
-    sup = market.suppliers
-    slope = np.array([1.0 / (s.d + 2.0 * s.gamma) for s in sup])
-    supply_lines = (slope, np.array([2.0 * s.gamma * s.y_nat - s.c for s in sup]) * slope,
-                    np.array([s.lo for s in sup]), np.array([s.hi for s in sup]))
     while r > REFERENCE_TOL and rec.iterations < REFERENCE_MAX_ITERS:
         hess = _fd_hessian(market, p)
         hessians += 1
@@ -615,25 +610,22 @@ def reference_solve(market: Market, p0: np.ndarray | None = None) -> Trace:
         free = ~active
         d = np.empty_like(p)
         d[active] = -z[active] / (np.maximum(np.diag(hess)[active], 0.0) + lam)
-        for d[free] in _newton_steps(supply_lines, p, z, hess, lam, free):
-            descent = -np.dot(z[free], d[free])
-            alpha = 1.0
-            for _ in range(_MAX_HALVINGS):
-                trial = np.maximum(p + alpha * d, 0.0)
-                t_value, t_z = evaluate(trial, True, True)
-                evals += 1
-                t_r = clearing_residuals(trial, t_z)[0]
-                armijo = _ARMIJO_SIGMA * (
-                    alpha * descent + np.dot(z[active], p[active] - trial[active]))
-                if value - t_value >= armijo or (t_r <= 0.5 * r and t_value <= value
-                                                 + _TER_ROUNDING * max(1.0, abs(value))):
-                    break
-                alpha *= 0.5
-            else:
-                continue  # no acceptable step along this arc: try the next step
-            break
+        d[free] = _newton_step(market, p, z, hess, lam, free)
+        descent = -np.dot(z[free], d[free])
+        alpha = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = np.maximum(p + alpha * d, 0.0)
+            t_value, t_z = evaluate(trial, True, True)
+            evals += 1
+            t_r = clearing_residuals(trial, t_z)[0]
+            armijo = _ARMIJO_SIGMA * (
+                alpha * descent + np.dot(z[active], p[active] - trial[active]))
+            if value - t_value >= armijo or (t_r <= 0.5 * r and t_value <= value
+                                             + _TER_ROUNDING * max(1.0, abs(value))):
+                break
+            alpha *= 0.5
         else:
-            stop = "no_step"  # no acceptable step along any arc
+            stop = "no_step"  # no acceptable step along the arc
             break
         p, value, z, r = trial, t_value, t_z, t_r
         rec.record(p[None], np.array([value]), z[None], np.array([alpha]))

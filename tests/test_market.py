@@ -428,6 +428,16 @@ def test_block_z_equals_vector_z(n, n_types, n_suppliers, seed, rows):
                                   [m._flat.kernel(x, False, True)[1] for x in p])
 
 
+@pytest.mark.parametrize("rows", [1, 200, _CHUNK_ROWS + 1])
+def test_one_good_block_rows_sum_supply_as_the_point_call(rows):
+    # numpy sums a point's (K, 1) supplies pairwise from K = 8 on; a
+    # block sums each row's K supplies the same way
+    m = specio.market_from_document(specio.generate_market(1, 2, 9, seed=3))
+    p = np.random.default_rng(3).uniform(0.0, 5.0, (rows, 1))
+    np.testing.assert_array_equal(m.value_and_grad(p)[1],
+                                  [m._flat.kernel(x, False, True)[1] for x in p])
+
+
 def _expression_kernel(flat, x, value, grad):
     # the kernel with one expression per quantity, every intermediate a
     # fresh array; the in-place kernel runs the same operations in the

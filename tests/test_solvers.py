@@ -642,6 +642,9 @@ class TestSolveMany:
         for (m, config), got in zip(runs, solvers.solve_many(runs), strict=True):
             _assert_same_run(got, solve(m, config))
 
+    def test_no_runs(self):
+        assert solvers.solve_many([]) == []
+
     def test_mixed_runs(self):
         # markets of different n, J and K (one good with nine suppliers
         # among them, whose supplies numpy sums pairwise), different tol, max_iters and step, a start that
@@ -948,3 +951,51 @@ class TestReferenceSolve:
         ter_ref = m.ter(ref.price)
         ter_accel = m.ter(solve(m, SolverConfig(scheme="accelerated")).price)
         assert ter_ref <= ter_accel + 1e-12 * max(1.0, abs(ter_accel))
+
+    def test_steep_spec_takes_few_newton_steps(self):
+        # market_n6 with suppliers[1].gamma times 1e-4 (d = 0 there): the
+        # differenced Newton step crawled along the kinks of its supply
+        doc = json.loads((SPEC_DIR / "market_n6.json").read_text())
+        doc["suppliers"][1]["gamma"] *= 1e-4
+        ref = reference_solve(specio.market_from_document(doc))
+        assert ref.converged
+        assert ref.iterations <= 10
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 8), j=st.integers(1, 3), k=st.integers(1, 3),
+           seed=st.integers(0, 10_000))
+    @example(n=6, j=1, k=2, seed=4020)
+    @example(n=6, j=2, k=3, seed=9740)
+    @example(n=8, j=1, k=2, seed=8606)
+    @example(n=6, j=3, k=3, seed=6162)
+    @example(n=7, j=2, k=3, seed=7534)
+    def test_very_steep_supply_stops_at_the_rounding_floor(self, n, j, k, seed):
+        """Each supplier's gamma times 10^U(-8, -3), and d = 0: the run
+        converges, or finds no acceptable step at a residual of at most
+        100 B, B = u max(1, ||p||_inf) sum_k max_i 1 / (d_ki + 2 gamma_k).
+
+        B is the floor that the grid of prices sets on the residual. A
+        price is a double, so a good's price can move by no less than
+        an ulp, 2 u |p_i| with u = 2^-53, and on its linear piece
+        supplier k's response moves with it by 1 / (d_ki + 2 gamma_k)
+        per unit of price. So z_i can miss zero by half a jump of about
+        2 u max(1, |p_i|) sum_k 1 / (d_ki + 2 gamma_k) at every
+        representable price, up to B per good, where the consumers'
+        shallow demand adds no steeper term. The l2 residual over n <= 8
+        goods is then up to sqrt(8) B, and the line search's trial
+        points lie on the projection arc, a few ulps from the best
+        price; 100 B covers both. The examples ended at max_iters, at
+        residuals from 4.7e-4 to 7.5, while the search compared values
+        of the piecewise-linear model and fell back on the differenced
+        Newton step.
+        """
+        m = specio.market_from_document(specio.generate_market(n, j, k, seed=seed))
+        rng = np.random.default_rng(seed)
+        m = mc.Market(n, m.consumers, tuple(
+            dataclasses.replace(s, gamma=s.gamma * 10 ** rng.uniform(-8, -3), d=np.zeros(n))
+            for s in m.suppliers))
+        ref = reference_solve(m)
+        u = 2.0 ** -53
+        floor = u * max(1.0, np.max(ref.price)) * sum(
+            np.max(1.0 / (s.d + 2.0 * s.gamma)) for s in m.suppliers)
+        assert ref.stop == "tol" or (ref.stop == "no_step" and ref.grad_norm[-1] <= 100 * floor)
