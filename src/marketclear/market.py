@@ -14,42 +14,60 @@ flat layout that the market builds once, at construction:
 - Consumers. Every (consumer type, nest) pair is one contiguous segment
   of a flat array of J * n elements; each element holds one good of one
   type. The layout keeps the good of each element (a gather from the
-  price vector), its utility and the 1/mu of its nest, the segment
-  starts (and the same runs as slices) and each segment's mu. A maximum
-  and a sum over each segment give every nest's log-sum-exp, hence its
-  inclusive value; a second pair over the segments of each type gives
-  the surplus per type. The choice probabilities reuse the same
-  exponentials.
+  price vector), its utility and the 1/mu of its nest (both negated, see
+  below), the segment starts (and the same runs as slices) and each
+  segment's mu. A maximum and a sum over each segment give every nest's
+  log-sum-exp, hence its inclusive value; a second pair over the
+  segments of each type gives the surplus per type. The choice
+  probabilities reuse the same exponentials.
 - Suppliers. Their data are stacked into (K, n) arrays, so the best
   responses of all suppliers are one clip and their profits one sum.
 
-One body, `_FlatMarket.kernel`, evaluates the layout, and the rank of
-the prices picks the only things that differ: how it reads the
-constants and how it reduces. One price vector of shape (n,) reads the
-constants as they are, takes the maxima with `np.maximum.reduceat` and
-sums each nest, each type and the demand per good with `np.bincount`,
-which keeps the per-call numpy overhead of the solver loop low. A block
-with the goods on the first axis and evaluation points on the second
-reads column views of the same constants (`_FlatMarket.col`), reduces
-each segment, a contiguous run of rows, with one numpy call vectorised
-over all points (`_block_reduce`) and sums demand per good through a
-precomputed inverse gather. `_FlatMarket.evaluate` takes a block of
-prices in chunks of `_CHUNK_ROWS` rows, copied transposed into one
-price buffer per call, which bounds the flat and stacked temporaries
-alive at once. Per chunk the kernel allocates the supplier responses y
-and, for TER, the profit and one scratch array, each (K, n, rows), and
-on the consumer side the gathered (J * n, rows) exponentials, their nest
-maxima per element and, for z, the demand factor per element and the
-demand gather; every other temporary has one row per nest, type or
-good. y, the exponentials and the profit are updated in place, and z is
-written into the demand, each operation with the operands and in the
-order of the textbook formula (swapping the operands of a + or a *
-keeps its bits), so no bit depends on which arrays are reused. Both
-ranks sum every nest and every type in element order, and a maximum is
-exact in any order, so every row of a block gets the z of the point
+One body, `_FlatMarket.kernel`, evaluates the layout. Its first stage
+is one gather and one affine pass for both sides: `e = x[idx]` takes the
+good of every consumer element and then, supplier by supplier, each
+supplier's n goods, and `e += off; e *= slope` turns the head into the
+elements' v / mu and the tail into the suppliers' stationary points,
+which are clipped in place onto their boxes. The consumer constants are
+stored negated, off = -a and slope = -1/mu, and (x + (-a)) * (-1/mu) has
+the bits of the textbook (a - x) * (1/mu): x + (-a) = -(a - x) under
+round-to-nearest, and (-r)(-s) = rs. Only the sign of a zero element,
+where a_i = x_i, can differ, and no output sees it: subtracting the
+segment maximum, exp and the log of the sum erase it.
+
+The rank of the prices picks the only things that differ: how the
+kernel reads the constants and how it reduces. One price vector of shape
+(n,) reads the constants as they are, takes the maxima with
+`np.maximum.reduceat` and sums each nest and each type with
+`np.bincount`. Demand and supply per good are one `np.bincount` of e
+into 2n bins (`bins`: each element's good, then n plus each supplier's
+good), and z is the supply half less the demand half. This keeps the
+per-call numpy overhead of the solver loop low. A block with the goods
+on the first axis and evaluation points on the second reads column views
+of the same constants (`_FlatMarket.col`), reduces each segment, a
+contiguous run of rows, with one numpy call vectorised over all points
+(`_block_reduce`), sums demand per good through a precomputed inverse
+gather and supply with `np.add.reduce` over the supplier axis, row by
+row. Numpy would collapse a (K, 1, 1) block into one 1-D reduction and
+sum it pairwise, so that case is summed with `np.add.accumulate`.
+`_FlatMarket.evaluate` takes a block of prices in chunks of `_CHUNK_ROWS`
+rows, copied transposed into one price buffer per call, which bounds the
+flat and stacked temporaries alive at once. Per chunk the kernel
+allocates e, (J * n + K * n, rows), with the exponentials in its head
+and the supplier responses y in its tail; for TER, the profit and one
+scratch array, each (K, n, rows); the nest maxima per element; and for
+z, the demand factor per element and the demand gather. Every other
+temporary has one row per nest, type or good. e and the profit are
+updated in place, and a block's z is written into its demand, each
+operation with the operands and in the order of the textbook formula
+(swapping the operands of a + or a * keeps its bits), so no bit depends
+on which arrays are reused. Both ranks sum every nest, every type, each
+good's demand and each good's supplies in element order, and a maximum
+is exact in any order, so every row of a block gets the z of the point
 call bit for bit, and one price vector gives bit-identical TER and z at
-both ranks. `Market.ter` and `Market.ter_gradient` call the same kernel
-and compute only their own half.
+both ranks.
+`Market.ter` and `Market.ter_gradient` call the same kernel and compute
+only their own half.
 
 The public methods check their prices (`check_array`) and call
 `_FlatMarket.evaluate`; the solvers check their start prices once and
@@ -64,11 +82,9 @@ response is an exact zero at any price but NaN. One price vector of the
 stacked markets then gives each market's z with the bits of its own
 point call: every nest, type and per-good sum runs over the same
 elements in the same order, a maximum is exact, and a padded row adds
-zero at the end of a column sum. The one exception, a one-good market,
-whose (K, 1) supplies numpy sums as one 1-D (pairwise) reduction, is
-summed the same way in each row of a block and in the stack (`lone`).
-A stacked layout serves single price vectors only: the block branch's
-demand gather needs every consumer type to hold every good.
+zero at the end of a good's supply sum. A stacked layout serves single
+price vectors only: the block branch's demand gather needs every
+consumer type to hold every good.
 
 `clearing_residuals` computes the natural-map residual, min z and
 <p, z> of one price vector or of each row of a block, for
@@ -89,17 +105,18 @@ from .nested_logit import NestStructure
 from .rules import CODE_MALFORMED, check_array, integer, real, require, require_finite
 from .supply import Supplier
 
-# Rows of a price block evaluated per kernel pass. The pass allocates up
-# to three (K, n, rows) and four (J*n, rows) arrays (see the module
-# docstring), which favours few rows, and reduces each nest and each
-# consumer type with one numpy call per chunk, which favours many. On
-# block `ter` + `ter_gradient` over the 20 acceptance-batch markets
-# (4096-row blocks, one core of a 2-CPU machine, numpy 2.4.6, the sizes
-# interleaved in one process, median of 15 rounds, three processes),
-# 1024 rows took 102-115 ms, 2048 rows 99-110 ms, 512 rows 110-115 ms,
-# 4096 rows 128-130 ms and 256 rows 125-140 ms. Peak memory after three
-# such passes was 65.7 MB at 1024 rows, 70.0 MB at 2048 and 74.9 MB at
-# 4096, so the larger chunks cost memory for no clear gain.
+# Rows of a price block evaluated per kernel pass. The pass allocates
+# one (J*n + K*n, rows) array, up to two (K, n, rows) and three (J*n,
+# rows) arrays (see the module docstring), which favours few rows, and
+# reduces each nest and each consumer type with one numpy call per
+# chunk, which favours many. On block `ter` + `ter_gradient` over the 20
+# acceptance-batch markets (4096-row blocks, one core of a 2-CPU
+# machine, numpy 2.4.6, the sizes interleaved in one process, median of
+# 15 rounds, three processes), 1024 rows took 102-115 ms, 2048 rows
+# 99-110 ms, 512 rows 110-115 ms, 4096 rows 128-130 ms and 256 rows
+# 125-140 ms. Peak memory after three such passes was 65.7 MB at 1024
+# rows, 70.0 MB at 2048 and 74.9 MB at 4096, so the larger chunks cost
+# memory for no clear gain.
 _CHUNK_ROWS = 1024
 
 
@@ -289,13 +306,14 @@ class _FlatMarket:
         if len(markets) == 1:
             owner = np.repeat(np.arange(self.n_types), n)  # type of each element
             self.inverse = np.argsort(owner * n + self.goods, kind="stable")
-        # numpy sums a one-good market's (K, 1) supplies as one 1-D
-        # reduction, pairwise from K = 8 on, not row by row; in a stack,
-        # such a market's column is summed the same way
-        self.lone = ([(g0, len(m.suppliers)) for m, g0 in zip(markets, g0s) if m.n == 1]
-                     if len(markets) > 1 else [])
 
-        k_max = max(len(m.suppliers) for m in markets)
+        k_max = self.k_max = max(len(m.suppliers) for m in markets)
+        # the fused first stage gathers each consumer element's good, then
+        # each supplier's n goods; the point path sums demand into bins
+        # 0..n-1 and supply into n..2n-1
+        own = np.tile(np.arange(n), k_max)
+        self.idx = np.concatenate((self.goods, own))
+        self.bins = np.concatenate((self.goods, n + own))
 
         def supply(f, pad: float = 0.0) -> np.ndarray:
             """f of each supplier, (k_max, n): a market's rows, then padding."""
@@ -308,17 +326,25 @@ class _FlatMarket:
         # a gamma constant along each row, as in one market's layout, is
         # kept as one column: block TER broadcasts it faster
         gamma = supply(lambda s: np.full(s.n, s.gamma))
+        # a padded row clips y = x onto [0, 0]: y = 0 at any price but NaN,
+        # and zero profit at any finite price
+        offset = supply(lambda s: 2.0 * s.gamma * s.y_nat - s.c)
+        inv_slope = supply(lambda s: 1.0 / (s.d + 2.0 * s.gamma), 1.0)
+        lo, hi = supply(lambda s: s.lo), supply(lambda s: s.hi)
         floats = {
             "seg_mu": seg_mu,
-            "inv_mu": (1.0 / seg_mu)[self.seg_of],
-            "a": np.concatenate(a),
             "seg_count": self.count[self.type_of],
-            # a padded row clips y = x onto [0, 0]: y = 0 at any price but
-            # NaN, and zero profit at any finite price
-            "offset": supply(lambda s: 2.0 * s.gamma * s.y_nat - s.c),
-            "inv_slope": supply(lambda s: 1.0 / (s.d + 2.0 * s.gamma), 1.0),
-            "lo": supply(lambda s: s.lo),
-            "hi": supply(lambda s: s.hi),
+            # (x + off) * slope: (x - a) * (-1/mu) = v / mu per element,
+            # then (x + offset) * inv_slope per supplier and good
+            "off": np.concatenate((-np.concatenate(a), offset.ravel())),
+            "slope": np.concatenate((-(1.0 / seg_mu)[self.seg_of], inv_slope.ravel())),
+            "offset": offset,
+            "inv_slope": inv_slope,
+            "lo": lo,
+            "hi": hi,
+            # the boxes again, laid out as the tail of the fused stage
+            "y_lo": lo.ravel(),
+            "y_hi": hi.ravel(),
             "c": supply(lambda s: s.c),
             "half_d": supply(lambda s: 0.5 * s.d),
             "y_nat": supply(lambda s: s.y_nat),
@@ -362,14 +388,15 @@ class _FlatMarket:
         """
         point = x.ndim == 1
         c = self if point else self.col
-        y = np.add(x, c.offset)
-        y *= c.inv_slope  # supplier stationary points
-        np.maximum(y, c.lo, out=y)
-        np.minimum(y, c.hi, out=y)
+        e = x[self.idx]  # consumer elements, then (K, n) supplier goods
+        e += c.off
+        e *= c.slope
+        ne = len(self.goods)
+        w = e[:ne]  # v / mu, element by element
+        y = e[ne:]  # supplier stationary points, flat
+        np.maximum(y, c.y_lo, out=y)
+        np.minimum(y, c.y_hi, out=y)
 
-        w = x[self.goods]
-        np.subtract(c.a, w, out=w)
-        w *= c.inv_mu  # v / mu, element by element
         top = (np.maximum.reduceat(w, self.seg_start) if point
                else _block_reduce(np.maximum, w, self.seg_slices))
         w -= top[self.seg_of]
@@ -384,6 +411,8 @@ class _FlatMarket:
                  else _block_sum(nest, self.type_of, self.type_slices))
 
         ter = z = None
+        if value or not point:
+            y = y.reshape(self.k_max, *x.shape)
         if value:
             # y * ((x - c) - half_d * y) - gamma * (y - y_nat)^2 in two
             # temporaries, each operation as in that expression
@@ -400,18 +429,16 @@ class _FlatMarket:
             # count_j * P(nest) / (within-nest sum) turns w = exp(v/mu - top)
             # into the demand of each element
             w *= (nest * (c.seg_count / (total[self.type_of] * within)))[self.seg_of]
-            if point:
-                demand = np.bincount(self.goods, w, self.n)
+            if point:  # demand into bins 0..n-1, supply into n..2n-1
+                sums = np.bincount(self.bins, e, 2 * self.n)
+                z = sums[self.n:] - sums[:self.n]
             else:
                 demand = w.take(self.inverse, axis=0).reshape(
                     self.n_types, -1, x.shape[1]).sum(axis=0)
-            if point or self.n > 1:
-                supply = np.add.reduce(y, 0)
-            else:  # one good: each row's supplies summed as the point call sums them
-                supply = np.ascontiguousarray(y[:, 0].T).sum(axis=1)[None]
-            for i, k in self.lone:  # a stack's one-good markets
-                supply[i] = np.add.reduce(y[:k, i])
-            z = np.subtract(supply, demand, out=demand)
+                # numpy would sum a lone (K, 1, 1) column pairwise
+                supply = (np.add.reduce(y, 0) if y.shape[1:] != (1, 1)
+                          else np.add.accumulate(y, 0)[-1])
+                z = np.subtract(supply, demand, out=demand)
         return ter, z
 
 

@@ -1,3 +1,4 @@
+import functools
 import re
 import warnings
 
@@ -5,7 +6,7 @@ import hypothesis.strategies as st
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import marketclear as mc
 from marketclear import specio
@@ -445,7 +446,10 @@ def _expression_kernel(flat, x, value, grad):
     point = x.ndim == 1
     c = flat if point else flat.col
     y = np.minimum(np.maximum((x + c.offset) * c.inv_slope, c.lo), c.hi)
-    w = (c.a - x[flat.goods]) * c.inv_mu
+    # the utilities and 1/mu per element, which the kernel stores negated
+    ne = len(flat.goods)
+    a, inv_mu = -c.off[:ne], -c.slope[:ne]
+    w = (a - x[flat.goods]) * inv_mu
     top = (np.maximum.reduceat(w, flat.seg_start) if point
            else _block_reduce(np.maximum, w, flat.seg_slices))
     w = np.exp(w - top[flat.seg_of])
@@ -468,7 +472,7 @@ def _expression_kernel(flat, x, value, grad):
         else:
             demand = w.take(flat.inverse, axis=0).reshape(
                 flat.n_types, -1, x.shape[1]).sum(axis=0)
-        z = np.add.reduce(y, 0) - demand
+        z = functools.reduce(np.add, y) - demand  # supplier by supplier
     return ter, z
 
 
@@ -483,9 +487,11 @@ def _expression_evaluate(flat, p, value, grad):
             np.concatenate([g for _, g in chunks], axis=1).T if grad else None)
 
 
-@given(st.integers(1, 20), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**31),
+@given(st.integers(1, 20), st.integers(1, 5), st.integers(1, 9), st.integers(0, 2**31),
        st.sampled_from([2, 64, _CHUNK_ROWS + 1]),
        st.sampled_from([(True, True), (True, False), (False, True)]))
+@example(1, 2, 9, 3, 64, (False, True))  # one good, supplies numpy would sum pairwise
+@example(1, 2, 9, 3, _CHUNK_ROWS + 1, (True, True))  # and a last chunk of one row
 @settings(max_examples=40, deadline=None)
 def test_in_place_kernel_keeps_the_expression_bits(n, n_types, n_suppliers, seed, rows, flags):
     flat = specio.market_from_document(specio.generate_market(n, n_types, n_suppliers, seed))._flat

@@ -1,9 +1,13 @@
 """The scripts under scripts/ run as documented."""
 
+import hashlib
 import importlib.util
 import math
 import os
 import subprocess
+
+from marketclear import specio
+from marketclear.solvers import SolverConfig, solve
 
 from conftest import PYTHON, REPO_ROOT, SPEC_DIR
 
@@ -34,3 +38,22 @@ def test_make_demo_specs_regenerates_the_shipped_specs(tmp_path):
     script.main()
     for name in ("single_good.json", "market_n6.json"):
         assert (tmp_path / name).read_bytes() == (SPEC_DIR / name).read_bytes(), name
+
+
+def test_trace_digest_matches_a_direct_solve(capsys):
+    spec = importlib.util.spec_from_file_location("trace_digest", SCRIPTS / "trace_digest.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.main(["--markets", "2"])
+    lines = capsys.readouterr().out.splitlines()[:4]  # the specs' lines follow
+    want = []
+    for seed in range(2):
+        m = specio.market_from_document(specio.batch_market(seed))
+        for scheme in ("basic", "accelerated"):
+            t = solve(m, SolverConfig(scheme=scheme))
+            h = hashlib.blake2b(digest_size=16)
+            for col in (t.ter, t.grad_norm, t.min_excess, t.complementarity, t.steps, t.price):
+                h.update(col.tobytes())
+            want.append(f"batch{seed} {scheme} iterations={t.iterations} stop=tol "
+                        f"oracle_evals={t.oracle_evals} blocks={t.blocks} digest={h.hexdigest()}")
+    assert lines == want

@@ -647,7 +647,7 @@ class TestSolveMany:
 
     def test_mixed_runs(self):
         # markets of different n, J and K (one good with nine suppliers
-        # among them, whose supplies numpy sums pairwise), different tol, max_iters and step, a start that
+        # among them, whose column numpy would sum pairwise), different tol, max_iters and step, a start that
         # stalls and a TER that overflows at iteration 1
         n6 = specio.load_market(SPEC_DIR / "market_n6.json")
         lone = specio.market_from_document(specio.generate_market(1, 2, 9, seed=3))
