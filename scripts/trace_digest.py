@@ -8,6 +8,11 @@ settings, one `solve` per run, and prints one line per run:
 
     <market> <scheme> iterations=<T> stop=<stop> oracle_evals=<T'> blocks=<B> digest=<hex>
 
+Then it solves all of those runs again in one `solve_many` call, in
+lockstep, and prints the same line for each, prefixed `lockstep `. A
+lockstep run must give the bits of its single run; its stacked layout,
+and every re-stack as runs stop, builds its own bound kernels.
+
 The digest is a 16-byte blake2b of the raw float64 bytes of the trace
 columns ter, grad_norm, min_excess, complementarity and steps and of the
 final price, in that order. Run it in two checkouts and diff the output:
@@ -22,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from marketclear import specio
-from marketclear.solvers import SCHEMES, SolverConfig, solve
+from marketclear.solvers import SCHEMES, SolverConfig, solve, solve_many
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 COLUMNS = ("ter", "grad_norm", "min_excess", "complementarity", "steps", "price")
@@ -34,6 +39,12 @@ def digest(trace) -> str:
     for name in COLUMNS:
         h.update(np.ascontiguousarray(getattr(trace, name), dtype=np.float64).tobytes())
     return h.hexdigest()
+
+
+def line(name, t) -> str:
+    """The output line of the run `name` with trace t."""
+    return (f"{name} iterations={t.iterations} stop={t.stop} "
+            f"oracle_evals={t.oracle_evals} blocks={t.blocks} digest={digest(t)}")
 
 
 def markets(count):
@@ -49,12 +60,13 @@ def main(argv=None):
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--markets", type=int, default=20, help="batch markets (default 20)")
     args = parser.parse_args(argv)
-    for label, market in markets(args.markets):
-        for scheme in SCHEMES:
-            t = solve(market, SolverConfig(scheme=scheme))
-            print(f"{label} {scheme} iterations={t.iterations} stop={t.stop} "
-                  f"oracle_evals={t.oracle_evals} blocks={t.blocks} digest={digest(t)}",
-                  flush=True)
+    runs = [(f"{label} {scheme}", market, SolverConfig(scheme=scheme))
+            for label, market in markets(args.markets) for scheme in SCHEMES]
+    for name, market, config in runs:
+        print(line(name, solve(market, config)), flush=True)
+    traces = solve_many([(market, config) for _, market, config in runs])
+    for (name, _, _), t in zip(runs, traces):
+        print(line(f"lockstep {name}", t), flush=True)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,13 @@ flat layout that the market builds once, at construction:
 - Suppliers. Their data are stacked into (K, n) arrays, so the best
   responses of all suppliers are one clip and their profits one sum.
 
-One body, `_FlatMarket.kernel`, evaluates the layout. Its first stage
+One body, the closure that `_bind` returns, evaluates the layout. The
+layout binds it once per rank, when it is built, as `_FlatMarket.point`
+and `_FlatMarket.block`: `_bind` reads every constant, index array,
+slice list and numpy function of that rank once, and a call looks none
+of them up again. `_FlatMarket.kernel` stays the one entry point: it
+dispatches by the rank of the prices, and `evaluate`,
+`Market.equilibrium_residual` and the solvers all call it. Its first stage
 is one gather and one affine pass for both sides: `e = x[idx]` takes the
 good of every consumer element and then, supplier by supplier, each
 supplier's n goods, and `e += off; e *= slope` turns the head into the
@@ -35,9 +41,9 @@ round-to-nearest, and (-r)(-s) = rs. Only the sign of a zero element,
 where a_i = x_i, can differ, and no output sees it: subtracting the
 segment maximum, exp and the log of the sum erase it.
 
-The rank of the prices picks the only things that differ: how the
-kernel reads the constants and how it reduces. One price vector of shape
-(n,) reads the constants as they are, takes the maxima with
+The rank of the prices picks the only things that differ: which
+constants `_bind` reads and how the kernel reduces. One price vector of
+shape (n,) reads the constants as they are, takes the maxima with
 `np.maximum.reduceat` and sums each nest and each type with
 `np.bincount`. Demand and supply per good are one `np.bincount` of e
 into 2n bins (`bins`: each element's good, then n plus each supplier's
@@ -74,17 +80,17 @@ The public methods check their prices (`check_array`) and call
 then call the kernel and the evaluator directly, without that check.
 The layout is built from a list of markets; `Market` builds its own
 from `[self]`, and the lockstep solver (`solvers.solve_many`) one from
-the markets of all its runs. Such a stacked layout concatenates the
-consumer segments and types, each market's goods offset by the goods
-before it, and pads the supplier arrays to (K_max, sum n): after each
-market's own suppliers come rows with lo = hi = 0, whose clipped
-response is an exact zero at any price but NaN. One price vector of the
-stacked markets then gives each market's z with the bits of its own
-point call: every nest, type and per-good sum runs over the same
-elements in the same order, a maximum is exact, and a padded row adds
-zero at the end of a good's supply sum. A stacked layout serves single
-price vectors only: the block branch's demand gather needs every
-consumer type to hold every good.
+the markets of all its runs, which binds its own kernels. Such a
+stacked layout concatenates the consumer segments and types, each
+market's goods offset by the goods before it, and pads the supplier
+arrays to (K_max, sum n): after each market's own suppliers come rows
+with lo = hi = 0, whose clipped response is an exact zero at any price
+but NaN. One price vector of the stacked markets then gives each
+market's z with the bits of its own point call: every nest, type and
+per-good sum runs over the same elements in the same order, a maximum
+is exact, and a padded row adds zero at the end of a good's supply sum.
+A stacked layout serves single price vectors only: the block branch's
+demand gather needs every consumer type to hold every good.
 
 `clearing_residuals` computes the natural-map residual, min z and
 <p, z> of one price vector or of each row of a block, for
@@ -352,6 +358,7 @@ class _FlatMarket:
         }
         self.__dict__.update(floats)
         self.col = SimpleNamespace(**{k: v[..., None] for k, v in floats.items()})
+        self.point, self.block = _bind(self, True), _bind(self, False)
 
     def evaluate(self, p: np.ndarray, value: bool, grad: bool):
         """TER and z at prices p of shape (..., n), each computed only if
@@ -384,62 +391,76 @@ class _FlatMarket:
 
         x is one price vector of shape (n,), giving a scalar TER and z of
         shape (n,), or a block of shape (n, R) with one evaluation point
-        per column, giving TER of shape (R,) and z of shape (n, R).
+        per column, giving TER of shape (R,) and z of shape (n, R). The
+        call goes to the kernel bound for that rank (`_bind`).
         """
-        point = x.ndim == 1
-        c = self if point else self.col
-        e = x[self.idx]  # consumer elements, then (K, n) supplier goods
-        e += c.off
-        e *= c.slope
-        ne = len(self.goods)
+        return (self.point if x.ndim == 1 else self.block)(x, value, grad)
+
+
+def _bind(f: _FlatMarket, point: bool):
+    """The kernel of layout f for one price vector (point) or for a block
+    of them, with every constant, index array, slice list and numpy
+    function read once, here, and bound to the returned closure."""
+    c = f if point else f.col
+    idx, seg_start, seg_of, seg_slices = f.idx, f.seg_start, f.seg_of, f.seg_slices
+    type_start, type_of, type_slices = f.type_start, f.type_of, f.type_slices
+    count, bins, inverse, n_types = f.count, f.bins, f.inverse, f.n_types
+    n, ne = f.n, len(f.goods)
+    off, slope, y_lo, y_hi, seg_mu = c.off, c.slope, c.y_lo, c.y_hi, c.seg_mu
+    seg_count, cost, half_d, y_nat, gamma = c.seg_count, c.c, c.half_d, c.y_nat, c.gamma
+    y_shape = (f.k_max, n) if point else (f.k_max, n, -1)
+    maximum, minimum, exp, log, bincount = np.maximum, np.minimum, np.exp, np.log, np.bincount
+    subtract, multiply, square = np.subtract, np.multiply, np.square
+    max_at, add_reduce, add_accumulate = np.maximum.reduceat, np.add.reduce, np.add.accumulate
+
+    def kernel(x, value, grad):
+        e = x[idx]  # consumer elements, then (K, n) supplier goods
+        e += off
+        e *= slope
         w = e[:ne]  # v / mu, element by element
         y = e[ne:]  # supplier stationary points, flat
-        np.maximum(y, c.y_lo, out=y)
-        np.minimum(y, c.y_hi, out=y)
+        maximum(y, y_lo, out=y)
+        minimum(y, y_hi, out=y)
 
-        top = (np.maximum.reduceat(w, self.seg_start) if point
-               else _block_reduce(np.maximum, w, self.seg_slices))
-        w -= top[self.seg_of]
-        np.exp(w, out=w)
-        within = (np.bincount(self.seg_of, w) if point
-                  else _block_sum(w, self.seg_of, self.seg_slices))
-        iv = c.seg_mu * (top + np.log(within))  # inclusive values
-        top_iv = (np.maximum.reduceat(iv, self.type_start) if point
-                  else _block_reduce(np.maximum, iv, self.type_slices))
-        nest = np.exp(iv - top_iv[self.type_of])
-        total = (np.bincount(self.type_of, nest) if point
-                 else _block_sum(nest, self.type_of, self.type_slices))
+        top = max_at(w, seg_start) if point else _block_reduce(maximum, w, seg_slices)
+        w -= top[seg_of]
+        exp(w, out=w)
+        within = bincount(seg_of, w) if point else _block_sum(w, seg_of, seg_slices)
+        iv = seg_mu * (top + log(within))  # inclusive values
+        top_iv = max_at(iv, type_start) if point else _block_reduce(maximum, iv, type_slices)
+        nest = exp(iv - top_iv[type_of])
+        total = bincount(type_of, nest) if point else _block_sum(nest, type_of, type_slices)
 
         ter = z = None
         if value or not point:
-            y = y.reshape(self.k_max, *x.shape)
+            y = y.reshape(y_shape)
         if value:
             # y * ((x - c) - half_d * y) - gamma * (y - y_nat)^2 in two
             # temporaries, each operation as in that expression
-            profit = np.subtract(x, c.c)
-            u = np.multiply(c.half_d, y)
+            profit = subtract(x, cost)
+            u = multiply(half_d, y)
             profit -= u
             profit *= y
-            np.subtract(y, c.y_nat, out=u)
-            np.square(u, out=u)
-            u *= c.gamma
+            subtract(y, y_nat, out=u)
+            square(u, out=u)
+            u *= gamma
             profit -= u
-            ter = profit.sum(axis=(0, 1)) + self.count @ (top_iv + np.log(total))
+            ter = profit.sum(axis=(0, 1)) + count @ (top_iv + log(total))
         if grad:
             # count_j * P(nest) / (within-nest sum) turns w = exp(v/mu - top)
             # into the demand of each element
-            w *= (nest * (c.seg_count / (total[self.type_of] * within)))[self.seg_of]
+            w *= (nest * (seg_count / (total[type_of] * within)))[seg_of]
             if point:  # demand into bins 0..n-1, supply into n..2n-1
-                sums = np.bincount(self.bins, e, 2 * self.n)
-                z = sums[self.n:] - sums[:self.n]
+                sums = bincount(bins, e, 2 * n)
+                z = sums[n:] - sums[:n]
             else:
-                demand = w.take(self.inverse, axis=0).reshape(
-                    self.n_types, -1, x.shape[1]).sum(axis=0)
+                demand = w.take(inverse, axis=0).reshape(n_types, -1, x.shape[1]).sum(axis=0)
                 # numpy would sum a lone (K, 1, 1) column pairwise
-                supply = (np.add.reduce(y, 0) if y.shape[1:] != (1, 1)
-                          else np.add.accumulate(y, 0)[-1])
-                z = np.subtract(supply, demand, out=demand)
+                supply = add_reduce(y, 0) if y.shape[1:] != (1, 1) else add_accumulate(y, 0)[-1]
+                z = subtract(supply, demand, out=demand)
         return ter, z
+
+    return kernel
 
 
 def _slices(starts: np.ndarray, end: int) -> list[slice]:

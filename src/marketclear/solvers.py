@@ -32,6 +32,29 @@ T' single-point oracle calls and ceil(T / 64) block calls; the trace and
 the closing log line report both counts, and under debug logging each
 block writes one progress line.
 
+Each step is taken in place. q is formed in one buffer as
+(p - p_prev) b + p, z(q) is scaled by h in its own array and subtracted
+from q there, and [.]_+ is written straight into the block's row for
+the iterate. Every operation keeps its operands and their order, up to
+swapping those of a * or a +, which is exact, so every bit is that of
+the formula above. p and p_prev are then rows of the block; before the
+divergence branch zeroes a run's goods it copies both, since those rows
+may still be priced.
+
+The loop tests an iterate's finiteness by one sum, its dot product with
+a vector of ones. Every iterate is >= 0 or NaN, so the sum is finite
+exactly when every price is, as long as it cannot overflow, and it
+cannot. Start prices and market data have magnitude at most
+M = `rules.MAX_MAGNITUDE` = 1e50. A step h <= 1 / Lip is at most gamma_k
+for every supplier and at most min_l mu_jl / count_j for every consumer
+type; a response lies in its box and a type's demand is at most its
+count, so a step moves a price by h |z_i| <= D = (K + J) M^2. The
+projection is 1-Lipschitz and b_t < 1, so iterates t and t + 1 differ
+by at most (t + 1) D, and every price is at most M + t^2 D up to
+rounding. The sum over n goods reaches the float maximum 1.8e308 only
+if n (K + J) t^2 > 1e208, that is after more than 10^94 iterations on
+any market with n (K + J) < 10^20.
+
 `solve` is the one-run case of `solve_many`, which runs that loop for
 a list of runs in lockstep. The runs' markets form one separable
 problem in their concatenated goods, laid out as one stacked market
@@ -48,7 +71,7 @@ its own recorder, its own blocks priced by its own market's evaluator,
 its own stop test, stall check and divergence error, and its own T'
 and block counts, so its trace is bit for bit that of its single run.
 A run leaves the stack at the end of the block in which it stops, and
-the rest are stacked again.
+the rest are stacked again; each stacked layout binds its own kernels.
 
 The extrapolated points q_t may leave the orthant; the potential and
 its gradient extend smoothly to all of R^n, so they are evaluated there
@@ -455,7 +478,8 @@ def solve_many(runs: Sequence[tuple[Market, SolverConfig | None]]) -> list[Trace
     from this call's start to the end of its last block. A run leaves
     the stack at the end of the block in which it stops, and the rest
     are stacked again; a run whose iterate turns non-finite is stopped
-    there, and its goods rest at zero prices for the rest of the block.
+    there, and its goods restart from zero prices, never priced, for the
+    rest of the block.
 
     A ConfigError or UnproductiveMarketError of the first run that has
     one is raised before any iteration. If runs diverge, every other run
@@ -489,17 +513,29 @@ def solve_many(runs: Sequence[tuple[Market, SolverConfig | None]]) -> list[Trace
         mask = None if all(accelerated) or not any(accelerated) else np.concatenate(
             [np.full(r.market.n, float(a)) for r, a in zip(active, accelerated)])
         iterates = np.empty((_TER_BLOCK, flat.n))
+        extrapolated = np.empty(flat.n)
+        ones = np.ones(flat.n)
         ended = []
         while not ended:
             rows = [min(_TER_BLOCK, r.config.max_iters - t) for r in active]
             finite = rows[:]  # each run's iterates before its first non-finite one
             for k, beta in zip(range(max(rows)), momentum):
-                # q may sit outside the orthant; z extends there
-                q = p if beta == 0.0 else p + (beta if mask is None else beta * mask) * (p - p_prev)
+                # q = p + b (p - p_prev), in place; q may sit outside the
+                # orthant, and z extends there
+                q = p
+                if beta != 0.0:
+                    q = np.subtract(p, p_prev, out=extrapolated)
+                    q *= beta if mask is None else beta * mask
+                    q += p
+                # p = [q - h z(q)]_+, written into the block's row k
+                z = oracle(q, False, True)[1]
+                z *= h
+                np.subtract(q, z, out=z)
                 p_prev = p
-                p = np.maximum(q - h * oracle(q, False, True)[1], 0.0)
-                iterates[k] = p
-                if not math.isfinite(np.maximum.reduce(p)):
+                p = np.maximum(z, 0.0, out=iterates[k])
+                if not math.isfinite(p.dot(ones)):  # p >= 0: see the module docstring
+                    # both are rows of the block, and may still be priced
+                    p, p_prev = p.copy(), p_prev.copy()
                     for i, g in enumerate(goods):
                         if not math.isfinite(np.maximum.reduce(p[g])):
                             if k < finite[i] == rows[i]:

@@ -45,7 +45,8 @@ def test_trace_digest_matches_a_direct_solve(capsys):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     script.main(["--markets", "2"])
-    lines = capsys.readouterr().out.splitlines()[:4]  # the specs' lines follow
+    out = capsys.readouterr().out.splitlines()
+    lines = out[:4]  # the specs' lines follow
     want = []
     for seed in range(2):
         m = specio.market_from_document(specio.batch_market(seed))
@@ -57,3 +58,9 @@ def test_trace_digest_matches_a_direct_solve(capsys):
             want.append(f"batch{seed} {scheme} iterations={t.iterations} stop=tol "
                         f"oracle_evals={t.oracle_evals} blocks={t.blocks} digest={h.hexdigest()}")
     assert lines == want
+    # then every run again, all of them in one lockstep solve_many call,
+    # each with the line of its single run
+    single = [line for line in out if not line.startswith("lockstep ")]
+    lockstep = [line.removeprefix("lockstep ") for line in out if line.startswith("lockstep ")]
+    assert len(single) == 8  # 2 batch markets and 2 specs, 2 schemes each
+    assert lockstep == single

@@ -630,6 +630,38 @@ def _ter_overflow_market():
     return mc.Market(m.n, m.consumers, (s, *m.suppliers[1:]))
 
 
+def _priced_rows(runs, fail):
+    """The rows that `solve_many(runs)` prices for each run, concatenated,
+    under a kernel whose c-th point call on the stack of all runs gives
+    z = -inf on the goods fail[c]. Each run needs its own market object."""
+    from marketclear.market import _FlatMarket
+
+    kernel, evaluate = _FlatMarket.kernel, _FlatMarket.evaluate
+    n = sum(m.n for m, _ in runs)
+    calls, priced = [], {id(m._flat): [] for m, _ in runs}
+
+    def failing(self, x, value, grad):
+        t, z = kernel(self, x, value, grad)
+        if x.ndim == 1 and self.n == n:
+            calls.append(1)
+            if len(calls) in fail:
+                z[fail[len(calls)]] = -np.inf
+        return t, z
+
+    def pricing(self, p, value, grad):
+        priced[id(self)].append(p.copy())
+        return evaluate(self, p, value, grad)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_FlatMarket, "kernel", failing)
+        mp.setattr(_FlatMarket, "evaluate", pricing)
+        try:
+            solvers.solve_many(runs)
+        except DivergedError:
+            assert fail
+    return [np.concatenate(priced[id(m._flat)]) for m, _ in runs]
+
+
 class TestSolveMany:
     def test_lockstep_runs_equal_single_runs(self):
         # the 20 batch markets under both schemes, and both shipped specs,
@@ -708,6 +740,43 @@ class TestSolveMany:
             ("non-finite iterate at iteration 100", 100), ("non-finite iterate at iteration 70", 70)]
         for i in (1, 3):
             _assert_same_run(results[i], singles[i])
+
+    def test_a_divergence_leaves_priced_rows_alone(self):
+        # the loop's p and p_prev are rows of its block of iterates; when
+        # an iterate turns non-finite, the rows priced before it are those
+        # of a clean run, alone and in the stack of four runs above
+        def n6():
+            return specio.load_market(SPEC_DIR / "market_n6.json")
+
+        for scheme in solvers.SCHEMES:
+            runs = [(n6(), SolverConfig(scheme=scheme, tol=0.0, max_iters=300))]
+            (got,), (want,) = _priced_rows(runs, {100: slice(0, 6)}), _priced_rows(runs, {})
+            assert len(got) == 99
+            np.testing.assert_array_equal(got, want[:99])
+        k = small_market(2).n
+        runs = [(n6(), SolverConfig(scheme="basic", tol=0.0, max_iters=300)),
+                (small_market(2), SolverConfig(scheme="accelerated", tol=0.0, max_iters=300)),
+                (n6(), SolverConfig(scheme="accelerated", tol=0.0, max_iters=300)),
+                (small_market(2), SolverConfig(scheme="basic"))]
+        got = _priced_rows(runs, {100: slice(0, 6), 70: slice(6 + k, 12 + k)})
+        want = _priced_rows(runs, {})
+        assert [len(rows) for rows in got] == [99, len(want[1]), 69, len(want[3])]
+        for rows, clean in zip(got, want, strict=True):
+            np.testing.assert_array_equal(rows, clean[:len(rows)])
+
+    def test_no_false_divergence_at_the_largest_start(self):
+        # every price at the magnitude rule's maximum: the loop tests an
+        # iterate's finiteness by its sum, which must not overflow
+        from marketclear.rules import MAX_MAGNITUDE
+
+        markets = [specio.load_market(SPEC_DIR / name)
+                   for name in ("market_n6.json", "single_good.json")]
+        runs = [(m, SolverConfig(scheme=scheme, p0=np.full(m.n, MAX_MAGNITUDE)))
+                for m in markets for scheme in solvers.SCHEMES]
+        singles = [solve(m, config) for m, config in runs]
+        assert {t.stop for t in singles} <= {"stalled", "max_iters", "tol"}
+        for got, want in zip(solvers.solve_many(runs), singles, strict=True):
+            _assert_same_run(got, want)
 
     def test_debug_lines_report_every_block(self, caplog):
         n6 = specio.load_market(SPEC_DIR / "market_n6.json")
