@@ -37,9 +37,12 @@ Each step is taken in place. q is formed in one buffer as
 from q there, and [.]_+ is written straight into the block's row for
 the iterate. Every operation keeps its operands and their order, up to
 swapping those of a * or a +, which is exact, so every bit is that of
-the formula above. p and p_prev are then rows of the block; before the
-divergence branch zeroes a run's goods it copies both, since those rows
-may still be priced.
+the formula above. Its array operands are bound once per stack of
+runs: h as a per-good vector, a zero vector for [.]_+ and a list of the
+block's row views, since a numpy call with a Python scalar operand
+costs more than one with an array. p and p_prev are then rows of the
+block; before the divergence branch zeroes a run's goods it copies
+both, since those rows may still be priced.
 
 The loop tests an iterate's finiteness by one sum, its dot product with
 a vector of ones. Every iterate is >= 0 or NaN, so the sum is finite
@@ -64,12 +67,13 @@ concatenated with each market's goods offset, supplier arrays padded to
 of the stacked kernel gives every run's z(q), with the bits of its own
 market's call: each nest, type and per-good sum runs over the same
 elements in the same order, segment maxima are exact, and a padded row
-adds an exact zero after the run's own suppliers. h and b_t become
-per-good vectors only where the runs differ (b_t on an accelerated
-run's goods, 0 on a basic run's, where q = p exactly). Every run keeps
-its own recorder, its own blocks priced by its own market's evaluator,
-its own stop test, stall check and divergence error, and its own T'
-and block counts, so its trace is bit for bit that of its single run.
+adds an exact zero after the run's own suppliers. h is the per-good
+vector of the runs' steps, and b_t becomes a per-good vector where the
+runs' schemes differ (b_t on an accelerated run's goods, 0 on a basic
+run's, where q = p exactly). Every run keeps its own recorder, its own
+blocks priced by its own market's evaluator, its own stop test, stall
+check and divergence error, and its own T' and block counts, so its
+trace is bit for bit that of its single run.
 A run leaves the stack at the end of the block in which it stops, and
 the rest are stacked again; each stacked layout binds its own kernels.
 
@@ -467,19 +471,19 @@ def solve_many(runs: Sequence[tuple[Market, SolverConfig | None]]) -> list[Trace
     The runs' markets, each a separable problem in its own goods, are
     priced as one stacked market (`_FlatMarket` of all of them), so one
     iteration makes one single-point kernel call for every run. The
-    stack's step and momentum are per good where its runs differ: each
-    run's own h, and b_t on an accelerated run's goods and 0 on a basic
-    run's, where q = p exactly. Each run's part of z has the bits of its
-    own market's kernel call (see the `market` docstring), so each run
-    keeps every bit of its single `solve`. Every run prices its own 64-row
-    blocks with its own market's evaluator and keeps its own stop test,
-    `stalled` check, divergence error and counts: `oracle_evals` is the
-    iterations it ran (T'), `blocks` its batched calls, `wall_s` the time
-    from this call's start to the end of its last block. A run leaves
-    the stack at the end of the block in which it stops, and the rest
-    are stacked again; a run whose iterate turns non-finite is stopped
-    there, and its goods restart from zero prices, never priced, for the
-    rest of the block.
+    stack's step is per good, each run's own h, and so is its momentum
+    where its runs' schemes differ: b_t on an accelerated run's goods
+    and 0 on a basic run's, where q = p exactly. Each run's part of z
+    has the bits of its own market's kernel call (see the `market`
+    docstring), so each run keeps every bit of its single `solve`. Every
+    run prices its own 64-row blocks with its own market's evaluator and
+    keeps its own stop test, `stalled` check, divergence error and
+    counts: `oracle_evals` is the iterations it ran (T'), `blocks` its
+    batched calls, `wall_s` the time from this call's start to the end
+    of its last block. A run leaves the stack at the end of the block in
+    which it stops, and the rest are stacked again; a run whose iterate
+    turns non-finite is stopped there, and its goods restart from zero
+    prices, never priced, for the rest of the block.
 
     A ConfigError or UnproductiveMarketError of the first run that has
     one is raised before any iteration. If runs diverge, every other run
@@ -504,17 +508,16 @@ def solve_many(runs: Sequence[tuple[Market, SolverConfig | None]]) -> list[Trace
         oracle = flat.kernel  # unchecked: every iterate is checked before it is priced
         bounds = list(itertools.accumulate((r.market.n for r in active), initial=0))
         goods = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        steps = {r.h for r in active}
-        h = steps.pop() if len(steps) == 1 else np.concatenate(
-            [np.full(r.market.n, r.h) for r in active])
+        h = np.concatenate([np.full(r.market.n, r.h) for r in active])
         # b_t on the goods of accelerated runs; a stack of basic runs only
         # takes its zero momentum from itertools.repeat
         accelerated = [r.config.scheme == "accelerated" for r in active]
         mask = None if all(accelerated) or not any(accelerated) else np.concatenate(
             [np.full(r.market.n, float(a)) for r, a in zip(active, accelerated)])
         iterates = np.empty((_TER_BLOCK, flat.n))
+        slots = list(iterates)  # the block's rows, one view each
         extrapolated = np.empty(flat.n)
-        ones = np.ones(flat.n)
+        zero, ones = np.zeros(flat.n), np.ones(flat.n)
         ended = []
         while not ended:
             rows = [min(_TER_BLOCK, r.config.max_iters - t) for r in active]
@@ -532,7 +535,7 @@ def solve_many(runs: Sequence[tuple[Market, SolverConfig | None]]) -> list[Trace
                 z *= h
                 np.subtract(q, z, out=z)
                 p_prev = p
-                p = np.maximum(z, 0.0, out=iterates[k])
+                p = np.maximum(z, zero, out=slots[k])
                 if not math.isfinite(p.dot(ones)):  # p >= 0: see the module docstring
                     # both are rows of the block, and may still be priced
                     p, p_prev = p.copy(), p_prev.copy()

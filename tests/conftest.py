@@ -1,17 +1,19 @@
 import dataclasses
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import marketclear as mc
-from marketclear import specio
+from marketclear import solvers, specio
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SPEC_DIR = REPO_ROOT / "specs"
 
 PYTHON = sys.executable
+BATCH_SEEDS = range(20)
 
 
 def set_leaf(doc, keys, value):
@@ -84,3 +86,18 @@ def single_good_market():
 @pytest.fixture(scope="session")
 def six_good_market():
     return specio.market_from_document(specio.generate_market(6, 2, 2, seed=7))
+
+
+@pytest.fixture(scope="session")
+def lockstep_batch():
+    """The acceptance-batch markets (`BATCH_SEEDS`), then both shipped
+    specs, each under both schemes in `solvers.SCHEMES` order: the 44
+    (market, config) runs, their traces from one `solve_many` call, and
+    the wall time in seconds of building the markets and that call."""
+    t0 = time.monotonic()
+    markets = [specio.market_from_document(specio.batch_market(seed)) for seed in BATCH_SEEDS]
+    markets += [specio.load_market(SPEC_DIR / name)
+                for name in ("market_n6.json", "single_good.json")]
+    runs = [(m, solvers.SolverConfig(scheme=scheme)) for m in markets for scheme in solvers.SCHEMES]
+    traces = solvers.solve_many(runs)
+    return runs, traces, time.monotonic() - t0

@@ -18,14 +18,13 @@ from marketclear.sampling import (
     empirical_error_covariance,
     monte_carlo_choice_frequencies,
 )
-from marketclear.solvers import SolverConfig, fit_rate, reference_solve, solve, solve_many
+from marketclear.solvers import SolverConfig, fit_rate, reference_solve, solve
 from marketclear.verify import fd_gradient
 
-from conftest import PYTHON, SPEC_DIR, random_instance
+from conftest import BATCH_SEEDS, PYTHON, SPEC_DIR, random_instance
 
 GUMBEL_VAR = np.pi**2 / 6.0
 N_INSTANCES = 1000
-BATCH_SEEDS = range(20)
 
 
 def _report(num, name, detail=""):
@@ -48,25 +47,26 @@ class BatchEntry:
 
 
 @pytest.fixture(scope="module")
-def market_batch():
+def market_batch(lockstep_batch):
     """20 random markets (n <= 20, J <= 5, K <= 5): reference + both schemes,
-    the 40 scheme runs in one lockstep call."""
+    the 40 scheme runs the batch's part of the one lockstep call of
+    `lockstep_batch`, whose wall time (building the markets and solving
+    them) `elapsed` includes."""
+    runs, traces, lockstep_s = lockstep_batch
     t0 = time.monotonic()
-    markets, refs = [], []
-    for seed in BATCH_SEEDS:
-        m = specio.market_from_document(specio.batch_market(seed))
+    markets = [m for m, _ in runs[0:2 * len(BATCH_SEEDS):2]]
+    refs = []
+    for m in markets:
         ref = reference_solve(m)
         assert ref.converged
-        markets.append(m)
         refs.append(ref)
-    traces = solve_many([(m, SolverConfig(scheme=scheme))
-                         for m in markets for scheme in ("basic", "accelerated")])
+    batch = traces[:2 * len(BATCH_SEEDS)]
     entries = [
         BatchEntry(market=m, ter_star=m.ter(ref.price), p_star=ref.price,
                    basic=basic, accel=accel)
-        for m, ref, basic, accel in zip(markets, refs, traces[0::2], traces[1::2])
+        for m, ref, basic, accel in zip(markets, refs, batch[0::2], batch[1::2])
     ]
-    elapsed = time.monotonic() - t0
+    elapsed = time.monotonic() - t0 + lockstep_s
     return entries, elapsed
 
 

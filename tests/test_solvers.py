@@ -663,15 +663,11 @@ def _priced_rows(runs, fail):
 
 
 class TestSolveMany:
-    def test_lockstep_runs_equal_single_runs(self):
+    def test_lockstep_runs_equal_single_runs(self, lockstep_batch):
         # the 20 batch markets under both schemes, and both shipped specs,
         # in one call
-        markets = [specio.market_from_document(specio.batch_market(seed))
-                   for seed in range(20)]
-        markets += [specio.load_market(SPEC_DIR / name)
-                    for name in ("market_n6.json", "single_good.json")]
-        runs = [(m, SolverConfig(scheme=scheme)) for m in markets for scheme in solvers.SCHEMES]
-        for (m, config), got in zip(runs, solvers.solve_many(runs), strict=True):
+        runs, traces, _ = lockstep_batch
+        for (m, config), got in zip(runs, traces, strict=True):
             _assert_same_run(got, solve(m, config))
 
     def test_no_runs(self):
