@@ -54,8 +54,9 @@ of the same constants (`_FlatMarket.col`), reduces each segment, a
 contiguous run of rows, with one numpy call vectorised over all points
 (`_block_reduce`), sums demand per good through a precomputed inverse
 gather and supply with `np.add.reduce` over the supplier axis, row by
-row. Numpy would collapse a (K, 1, 1) block into one 1-D reduction and
-sum it pairwise, so that case is summed with `np.add.accumulate`.
+row. A one-column block is priced by the point body on its column, as
+numpy would sum each reduction over one column pairwise, not in element
+order, so the block body never meets that case.
 `_FlatMarket.evaluate` takes a block of prices in chunks of `_CHUNK_ROWS`
 rows, copied transposed into one price buffer per call, which bounds the
 flat and stacked temporaries alive at once. Per chunk the kernel
@@ -358,7 +359,8 @@ class _FlatMarket:
         }
         self.__dict__.update(floats)
         self.col = SimpleNamespace(**{k: v[..., None] for k, v in floats.items()})
-        self.point, self.block = _bind(self, True), _bind(self, False)
+        self.point = _bind(self, True)  # the block kernel calls it
+        self.block = _bind(self, False)
 
     def evaluate(self, p: np.ndarray, value: bool, grad: bool):
         """TER and z at prices p of shape (..., n), each computed only if
@@ -391,8 +393,9 @@ class _FlatMarket:
 
         x is one price vector of shape (n,), giving a scalar TER and z of
         shape (n,), or a block of shape (n, R) with one evaluation point
-        per column, giving TER of shape (R,) and z of shape (n, R). The
-        call goes to the kernel bound for that rank (`_bind`).
+        per column, giving TER of shape (R,) and z of shape (n, R). Each
+        rank has its own bound kernel (`_bind`), and a one-column block
+        is priced by the point kernel.
         """
         return (self.point if x.ndim == 1 else self.block)(x, value, grad)
 
@@ -411,7 +414,7 @@ def _bind(f: _FlatMarket, point: bool):
     y_shape = (f.k_max, n) if point else (f.k_max, n, -1)
     maximum, minimum, exp, log, bincount = np.maximum, np.minimum, np.exp, np.log, np.bincount
     subtract, multiply, square = np.subtract, np.multiply, np.square
-    max_at, add_reduce, add_accumulate = np.maximum.reduceat, np.add.reduce, np.add.accumulate
+    add, max_at, add_reduce = np.add, np.maximum.reduceat, np.add.reduce
 
     def kernel(x, value, grad):
         e = x[idx]  # consumer elements, then (K, n) supplier goods
@@ -425,11 +428,11 @@ def _bind(f: _FlatMarket, point: bool):
         top = max_at(w, seg_start) if point else _block_reduce(maximum, w, seg_slices)
         w -= top[seg_of]
         exp(w, out=w)
-        within = bincount(seg_of, w) if point else _block_sum(w, seg_of, seg_slices)
+        within = bincount(seg_of, w) if point else _block_reduce(add, w, seg_slices)
         iv = seg_mu * (top + log(within))  # inclusive values
         top_iv = max_at(iv, type_start) if point else _block_reduce(maximum, iv, type_slices)
         nest = exp(iv - top_iv[type_of])
-        total = bincount(type_of, nest) if point else _block_sum(nest, type_of, type_slices)
+        total = bincount(type_of, nest) if point else _block_reduce(add, nest, type_slices)
 
         ter = z = None
         if value or not point:
@@ -455,12 +458,20 @@ def _bind(f: _FlatMarket, point: bool):
                 z = sums[n:] - sums[:n]
             else:
                 demand = w.take(inverse, axis=0).reshape(n_types, -1, x.shape[1]).sum(axis=0)
-                # numpy would sum a lone (K, 1, 1) column pairwise
-                supply = add_reduce(y, 0) if y.shape[1:] != (1, 1) else add_accumulate(y, 0)[-1]
-                z = subtract(supply, demand, out=demand)
+                z = subtract(add_reduce(y, 0), demand, out=demand)
         return ter, z
 
-    return kernel
+    if point:
+        return kernel
+    at_point = f.point
+
+    def block(x, value, grad):
+        if x.shape[1] == 1:  # numpy would sum its reductions pairwise
+            ter, z = at_point(x[:, 0], value, grad)
+            return (ter[None] if value else None), (z[:, None] if grad else None)
+        return kernel(x, value, grad)
+
+    return block
 
 
 def _slices(starts: np.ndarray, end: int) -> list[slice]:
@@ -475,16 +486,3 @@ def _block_reduce(ufunc: np.ufunc, a: np.ndarray, slices: list[slice]) -> np.nda
     for s, o in zip(slices, out):
         ufunc.reduce(a[s], 0, out=o)
     return out
-
-
-def _block_sum(a: np.ndarray, ids: np.ndarray, slices: list[slice]) -> np.ndarray:
-    """Sum of each run of rows of a, column by column, in element order.
-
-    `np.bincount` sums one price vector in element order too, so a block
-    column gives the bits of the point call. Numpy collapses a one-column
-    run into a 1-D reduction and sums it pairwise, so a one-column block
-    goes through `np.bincount` of its column (ids gives each row's run).
-    """
-    if a.shape[1] == 1:
-        return np.bincount(ids, a[:, 0])[:, None]
-    return _block_reduce(np.add, a, slices)

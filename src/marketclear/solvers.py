@@ -142,16 +142,13 @@ its piece ends at the minimiser and is the last. Away from kinks the
 first step does so, and it is the plain Newton step
 -(H + lam I)^{-1} z up to the rounding of the differenced slopes.
 
-On the 20 batch markets the reference converges in 155 Newton steps
-in all, each finding its minimiser in 1.4 model steps on average. On
-200 markets generate_market(6, 2, 2, seed) whose gammas are scaled by
-10^U(-3, 0), every reference converged, within 10 Newton steps, and on
-10,000 markets generate_market(n <= 8, J <= 3, K <= 3) so scaled, half
-of them with d = 0, within 17. With gamma scaled by 10^U(-8, -3) and
-d = 0 (1,000 markets), doubles 2 u |p_i| apart (u = 2^-53) leave z_i
-up to about B = u max(1, ||p||_inf) sum_k max_i 1 / (d_ki + 2 gamma_k)
-from zero at every price, and every run converged or stopped with
-"no_step" at a residual of at most 1.2 B, within 21 Newton steps.
+Where gamma is tiny and d = 0, the responses are so steep that doubles
+2 u |p_i| apart (u = 2^-53) leave z_i up to about
+B = u max(1, ||p||_inf) sum_k max_i 1 / (d_ki + 2 gamma_k) from zero at
+every price, so a residual near B may be the least any price reaches;
+a search that finds no acceptable step there stops with "no_step".
+README gives the Newton-step counts measured on the batch markets and
+on random sweeps.
 """
 
 from __future__ import annotations

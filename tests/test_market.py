@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 
 import marketclear as mc
 from marketclear import specio
-from marketclear.market import _CHUNK_ROWS, _block_reduce, _block_sum, clearing_residuals
+from marketclear.market import _CHUNK_ROWS, _block_reduce, clearing_residuals
 from marketclear.solvers import SolverConfig, reference_solve, solve
 from marketclear.verify import fd_gradient
 
@@ -417,26 +417,60 @@ def test_kernel_vector_equals_one_column_block(n, n_types, n_suppliers, seed, da
                 np.testing.assert_array_equal(z, z_b[:, 0])
 
 
-@given(st.integers(1, 20), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**31),
+def _thinned_market(n, n_types, n_suppliers, seed):
+    # every count of the generated document divided by 3: non-integer
+    # populations, and the capacities still exceed them
+    doc = specio.generate_market(n, n_types, n_suppliers, seed)
+    for ct in doc["consumers"]:
+        ct["count"] /= 3
+    return specio.market_from_document(doc)
+
+
+@given(st.integers(1, 20), st.integers(1, 9), st.integers(1, 5), st.integers(0, 2**31),
        st.integers(1, 64))
+@example(1, 9, 2, 2, 1)  # one good and nine types: numpy sums a one-column gather pairwise
 @settings(max_examples=30, deadline=None)
 def test_block_z_equals_vector_z(n, n_types, n_suppliers, seed, rows):
     # the accelerated scheme's trace takes z from a block of iterates, its
     # steps from single vectors; both must give the same bits
-    m = specio.market_from_document(specio.generate_market(n, n_types, n_suppliers, seed))
+    m = _thinned_market(n, n_types, n_suppliers, seed)
     p = np.random.default_rng(seed).uniform(-1.0, 5.0, (rows, n))
     np.testing.assert_array_equal(m.value_and_grad(p)[1],
                                   [m._flat.kernel(x, False, True)[1] for x in p])
 
 
+@pytest.mark.parametrize("scheme", ["basic", "accelerated"])
+def test_one_row_trace_records_the_residual_of_its_price(scheme):
+    # the one iterate of the run is priced as a one-row block; its trace
+    # row must give the residual that the point call gives at that price
+    m = _thinned_market(1, 9, 2, 2)
+    trace = solve(m, SolverConfig(scheme=scheme, max_iters=1, tol=0.0))
+    res = m.equilibrium_residual(trace.price)
+    assert (trace.grad_norm[-1], trace.min_excess[-1]) == (res.grad_norm, res.min_excess)
+
+
 @pytest.mark.parametrize("rows", [1, 200, _CHUNK_ROWS + 1])
 def test_one_good_block_rows_sum_supply_as_the_point_call(rows):
-    # numpy sums a point's (K, 1) supplies pairwise from K = 8 on; a
-    # block sums each row's K supplies the same way
+    # the point call sums a good's K supplies in supplier order
+    # (`np.bincount`), where numpy would sum 8 or more of them in one
+    # call pairwise; a block sums each row's K supplies the same way
     m = specio.market_from_document(specio.generate_market(1, 2, 9, seed=3))
     p = np.random.default_rng(3).uniform(0.0, 5.0, (rows, 1))
     np.testing.assert_array_equal(m.value_and_grad(p)[1],
                                   [m._flat.kernel(x, False, True)[1] for x in p])
+
+
+def _block_sum(a: np.ndarray, ids: np.ndarray, slices: list[slice]) -> np.ndarray:
+    """Sum of each run of rows of a, column by column, in element order.
+
+    `np.bincount` sums one price vector in element order too, so a block
+    column gives the bits of the point call. Numpy collapses a one-column
+    run into a 1-D reduction and sums it pairwise, so a one-column block
+    goes through `np.bincount` of its column (ids gives each row's run).
+    """
+    if a.shape[1] == 1:
+        return np.bincount(ids, a[:, 0])[:, None]
+    return _block_reduce(np.add, a, slices)
 
 
 def _expression_kernel(flat, x, value, grad):

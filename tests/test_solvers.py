@@ -299,7 +299,8 @@ class TestSolve:
 
     def test_single_point_oracle_matches_block_kernel(self, monkeypatch):
         # the solvers call the kernel on one price vector; a run that sends
-        # each vector through the block branch as one column must give the
+        # each vector through the block branch as column 0 of a two-column
+        # block (a one-column block goes to the point kernel) must give the
         # same trace bit for bit (blocks of TER rows pass through as they are)
         from marketclear.market import _FlatMarket
 
@@ -308,7 +309,7 @@ class TestSolve:
         def via_block(self, p, value, grad):
             if p.ndim == 2:
                 return kernel(self, p, value, grad)
-            ter, z = kernel(self, p[:, None], value, grad)
+            ter, z = kernel(self, np.column_stack([p, p]), value, grad)
             return (ter[0] if value else None), (z[:, 0] if grad else None)
 
         m = specio.market_from_document(
