@@ -116,14 +116,8 @@ from .supply import Supplier
 # one (J*n + K*n, rows) array, up to two (K, n, rows) and three (J*n,
 # rows) arrays (see the module docstring), which favours few rows, and
 # reduces each nest and each consumer type with one numpy call per
-# chunk, which favours many. On block `ter` + `ter_gradient` over the 20
-# acceptance-batch markets (4096-row blocks, one core of a 2-CPU
-# machine, numpy 2.4.6, the sizes interleaved in one process, median of
-# 15 rounds, three processes), 1024 rows took 102-115 ms, 2048 rows
-# 99-110 ms, 512 rows 110-115 ms, 4096 rows 128-130 ms and 256 rows
-# 125-140 ms. Peak memory after three such passes was 65.7 MB at 1024
-# rows, 70.0 MB at 2048 and 74.9 MB at 4096, so the larger chunks cost
-# memory for no clear gain.
+# chunk, which favours many. Larger chunks cost memory for no clear
+# gain in time; README's library section gives the measurements.
 _CHUNK_ROWS = 1024
 
 

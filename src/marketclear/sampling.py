@@ -37,7 +37,9 @@ errors keep every bit. ``_batches`` runs it over the BATCH_SIZE blocks
 of a seeded stream and yields each as its (m, n) transpose; every
 consumer must reduce a batch before it draws the next, as
 ``monte_carlo_choice_frequencies`` and ``empirical_error_covariance``
-do, both with contiguous passes over the goods-major rows. Public
+do, both with contiguous passes over the goods-major rows; the first
+moments are numpy's pairwise sum of each good's row, not the
+element-order column sums of a sample-major block. Public
 ``sample_nested_errors`` draws one block and returns a fresh (size, n)
 copy of it.
 """
@@ -92,13 +94,13 @@ def _log_sin(x: np.ndarray, t2: np.ndarray) -> np.ndarray:
     shaped like x, is overwritten with 1 + t^2.
 
     sin x = 2t / (1 + t^2). numpy evaluates float64 ``tan`` with a SIMD
-    kernel and ``sin`` with a scalar one (65,536 values, numpy 2.4.6 on an
-    AVX-512 Xeon: 0.11 ms against 0.86 ms), so the tangent route is the
-    cheaper way to the same number. On the 2.8e6 arguments
-    alpha * pi * u, with u = k * 2^-53 and (2^53 - k) * 2^-53 for
-    k = 1 .. 200,000 and seven alpha in [0.05, 1], the quotient stays
-    within 2 ulp of ``np.sin``. t never overflows: x / 2 < pi / 2 in
-    floats, so t stays below about 6e15 and t^2 below 4e31.
+    kernel and ``sin`` with a scalar one, so the tangent route is the
+    cheaper way to the same number (README's library section gives the
+    timing). On the 2.8e6 arguments alpha * pi * u, with u = k * 2^-53
+    and (2^53 - k) * 2^-53 for k = 1 .. 200,000 and seven alpha in
+    [0.05, 1], the quotient stays within 2 ulp of ``np.sin``. t never
+    overflows: x / 2 < pi / 2 in floats, so t stays below about 6e15 and
+    t^2 below 4e31.
     """
     x *= 0.5
     np.tan(x, out=x)
@@ -237,18 +239,11 @@ def empirical_error_covariance(ns: NestStructure, samples: int, seed: int) -> np
     seed = integer(seed, "seed", 0, DomainError)
     s1 = np.zeros(ns.n)
     s2 = np.zeros((ns.n, ns.n))
-    partial = np.empty(min(BATCH_SIZE, samples))
     for eps in _batches(ns, samples, seed):
         e = eps.T
-        # the bits of np.sum(eps, axis=0) on a sample-major (m, n) block:
-        # numpy sums its columns in element order, the last partial sum of
-        # np.add.accumulate, but one column (n = 1) is one contiguous
-        # array, which it sums pairwise, as np.sum of a row does
-        if len(e) == 1:
-            s1 += e.sum(axis=1)
-        else:
-            for i, row in enumerate(e):
-                s1[i] += np.add.accumulate(row, out=partial[:len(row)])[-1]
+        # each good's row is contiguous, so numpy sums it pairwise: the
+        # error of a batch's sum grows with log m, not m (Higham 2002, §4.2)
+        s1 += e.sum(axis=1)
         s2 += e @ e.T
     mean = s1 / samples
     return s2 / samples - np.outer(mean, mean)

@@ -228,7 +228,9 @@ class TestChoiceFrequencies:
 
 class TestGoldenStreams:
     """Outputs over more than one batch, pinned to recorded values: a change
-    to the generator, the batching or the draw order fails here."""
+    to the generator, the batching or the draw order fails here. The
+    covariance was recorded again when its first moments became pairwise
+    row sums."""
 
     NS = NestStructure(3, ((0, 1), (2,)), (0.5, 1.0))
     SAMPLES = 3 * BATCH_SIZE + 17
@@ -242,9 +244,9 @@ class TestGoldenStreams:
         # exact on the recording machine; the tolerance only absorbs
         # last-bit differences between libm builds of log and sin
         np.testing.assert_allclose(cov, [
-            [1.6449016459192274, 1.2314291711918965, 0.003986758189632678],
-            [1.2314291711918965, 1.6437784074797752, 0.004942221011899839],
-            [0.003986758189632678, 0.004942221011899839, 1.6496295806825467],
+            [1.6449016459192296, 1.2314291711918972, 0.003986758189631345],
+            [1.2314291711918972, 1.6437784074797746, 0.004942221011897008],
+            [0.003986758189631345, 0.004942221011897008, 1.6496295806825418],
         ], rtol=1e-13, atol=0)
 
 
@@ -355,7 +357,7 @@ class TestArgmaxCounts:
 class TestReferenceFormulas:
     """Batch by batch, the goods-major reductions against the sample-major
     formulas on successive `sample_nested_errors` calls of one generator:
-    argmax(v + eps), eps.sum(axis=0) and eps.T @ eps, every bit."""
+    argmax(v + eps), each good's pairwise sum and eps.T @ eps, every bit."""
 
     SAMPLES = 3 * BATCH_SIZE + 17
 
@@ -385,17 +387,82 @@ class TestReferenceFormulas:
     def test_error_covariance(self, ns):
         s1, s2 = np.zeros(ns.n), np.zeros((ns.n, ns.n))
         for eps in self._draws(ns, 6):
-            s1 += eps.sum(axis=0)
+            s1 += np.ascontiguousarray(eps.T).sum(axis=1)
             s2 += eps.T @ eps
         mean = s1 / self.SAMPLES
         np.testing.assert_array_equal(empirical_error_covariance(ns, self.SAMPLES, 6),
                                       s2 / self.SAMPLES - np.outer(mean, mean))
 
 
+def _pairwise_depth(m):
+    """The most rounded additions an element of a row of m passes through
+    in numpy's pairwise sum (see TestFirstMomentAccuracy)."""
+    if m < 8:
+        return max(m - 1, 0)
+    if m <= 128:
+        return m // 8 - 1 + 3 + m % 8
+    half = m // 2 - m // 2 % 8
+    return 1 + max(_pairwise_depth(half), _pairwise_depth(m - half))
+
+
+class TestFirstMomentAccuracy:
+    """Each good's first-moment sum over one full batch lies within numpy's
+    pairwise-summation error bound of `math.fsum` of its row.
+
+    numpy sums a contiguous float64 row of m elements, starting from 0,
+    pairwise: a row of fewer than 8 in order; a row of at most 128 in 8
+    accumulators, lane j adding elements j, j + 8, ..., which are then
+    added as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the
+    m mod 8 left over are added in order; a longer row is split at half
+    its length rounded down to a multiple of 8, and the two halves' sums
+    are added. An element that passes through d rounded additions enters
+    the computed sum as x (1 + theta) with |theta| <= gamma_d =
+    d u / (1 - d u), u = 2^-53 (Higham 2002, Lemma 3.1 and section 4.2),
+    so with D the largest d over the row, |s - sum x| <= gamma_D sum |x|.
+    A batch of 2^16 splits nine times down to blocks of 128, whose first
+    elements pass through 15 lane additions and 3 tree additions: D = 27
+    (`_pairwise_depth`). `math.fsum` is correctly rounded, within
+    u |sum x| <= u sum |x| of the exact sum, so |s - fsum| <=
+    (gamma_D + u) sum |x|. The element-order sum's bound is
+    gamma_(m-1) sum |x|, about 2,400 times wider at m = 2^16.
+
+    The sums are read from the covariance's mean: over one batch of 2^16
+    draws, mean = s1 / 2^16 exactly, so s1 is mean * 2^16 bit for bit.
+    """
+
+    @pytest.fixture(params=["golden", "market_n6"])
+    def ns(self, request):
+        if request.param == "golden":
+            return TestGoldenStreams.NS
+        return _market_n6().consumers[0].nests
+
+    def test_row_sums_within_the_pairwise_bound(self, ns, monkeypatch):
+        means = []
+        outer = np.outer
+
+        def spy(a, b):
+            means.append(a.copy())
+            return outer(a, b)
+
+        monkeypatch.setattr(np, "outer", spy)
+        empirical_error_covariance(ns, BATCH_SIZE, seed=11)
+        (mean,) = means
+        s1 = mean * BATCH_SIZE
+        (eps,) = _batches(ns, BATCH_SIZE, 11)
+        u = 2.0**-53
+        depth = _pairwise_depth(BATCH_SIZE)
+        assert depth == 27
+        gamma = depth * u / (1.0 - depth * u)
+        for i, row in enumerate(eps.T):
+            bound = (gamma + u) * math.fsum(np.abs(row))
+            assert abs(s1[i] - math.fsum(row)) <= bound, i
+
+
 class TestGoldenSuiteValues:
     """The `montecarlo` and `correlation` checks on market_n6.json over more
     than one batch, recorded before the sampler drew into a reused
-    workspace; the draw must not move a bit."""
+    workspace; the draw must not move a bit. The correlation rows were
+    recorded again when the first moments became pairwise row sums."""
 
     SAMPLES = 3 * BATCH_SIZE + 17
 
@@ -416,8 +483,8 @@ class TestGoldenSuiteValues:
         # exact on the recording machine; the tolerance only absorbs
         # last-bit differences between libm builds of log and tan
         np.testing.assert_allclose([r.value for r in rows], [
-            0.01099525238128285, 0.002164602526086419, 0.003809125545935172,
-            0.00909253465351445, 0.002854586316353158,
+            0.01099525238128507, 0.002164602526085215, 0.0038091255459340935,
+            0.00909253465351445, 0.0028545863163534912,
         ], rtol=1e-13, atol=0)
 
 
